@@ -34,6 +34,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "attack/sweep.hh"
 #include "common/logging.hh"
@@ -152,6 +154,28 @@ BM_HammerWithVendorATrr(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1'000);
 }
 BENCHMARK(BM_HammerWithVendorATrr);
+
+void
+BM_InterleavedHammer(benchmark::State &state, const char *module_name)
+{
+    // One TrrAnalyzer-style REF slot: two aggressors hammered 10 k
+    // rounds through the fused interleaved path, then a REF. The
+    // arguments cover one TRR vendor each (A5 counter table, B8
+    // sampler, C9 window), so the per-vendor observation fold shows.
+    DramModule module(*findModuleSpec(module_name), 1);
+    SoftMcHost host(module);
+    const std::vector<std::pair<Bank, Row>> rows = {{0, 5'000},
+                                                    {0, 5'002}};
+    const std::vector<int> counts = {10'000, 10'000};
+    for (auto _ : state) {
+        host.hammerInterleaved(rows, counts);
+        host.ref();
+    }
+    state.SetItemsProcessed(state.iterations() * 20'000);
+}
+BENCHMARK_CAPTURE(BM_InterleavedHammer, A5, "A5");
+BENCHMARK_CAPTURE(BM_InterleavedHammer, B8, "B8");
+BENCHMARK_CAPTURE(BM_InterleavedHammer, C9, "C9");
 
 void
 BM_RefCommand(benchmark::State &state)

@@ -28,10 +28,29 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x5eed);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+        const std::uint64_t t = s[1] << 17;
+
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [lo, hi] (inclusive). Requires lo <= hi. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
@@ -39,8 +58,19 @@ class Rng
     /** Uniform double in [lo, hi). */
     double uniformReal(double lo, double hi);
 
-    /** Bernoulli trial with success probability p. */
-    bool chance(double p);
+    /**
+     * Bernoulli trial with success probability p. Draws nothing when
+     * p <= 0 or p >= 1.
+     */
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /** Standard normal via Box-Muller (deterministic, no cached spare). */
     double gaussian();
@@ -70,6 +100,12 @@ class Rng
     Rng fork(std::string_view name);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> s;
 };
 

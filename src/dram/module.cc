@@ -140,8 +140,13 @@ bool
 DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                                 Time start, Time stride)
 {
-    if (n <= 0 || n > DramBank::kMaxInterleavedFold || rounds <= 0)
+    const auto decline = [this] {
+        if (ctrFoldDeclined != nullptr)
+            ctrFoldDeclined->inc();
         return false;
+    };
+    if (n <= 0 || n > DramBank::kMaxInterleavedFold || rounds <= 0)
+        return decline();
     // Group the plans per bank (preserving global round order — the
     // within-bank subsequence keeps every victim's contributor order
     // and the earlier/later-in-round aggressor relation intact), and
@@ -174,7 +179,7 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
     for (int g = 0; g < bankCount; ++g) {
         if (!banks[g]->interleavedRoundsFoldable(groups[g], groupSize[g],
                                                  round_gap)) {
-            return false;
+            return decline();
         }
     }
     for (int g = 0; g < bankCount; ++g) {
@@ -192,6 +197,7 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
     }
     trr->onActivateRoundRobin(trrBanks, trrRows, n, rounds);
     if (ctrActs != nullptr) {
+        ctrFoldAccepted->inc();
         ctrActs->inc(static_cast<std::uint64_t>(n) *
                      static_cast<std::uint64_t>(rounds));
         for (int i = 0; i < n; ++i) {
@@ -358,10 +364,14 @@ DramModule::attachMetrics(MetricsRegistry *registry)
         ctrActs = nullptr;
         ctrRefs = nullptr;
         ctrReadFlipBits = nullptr;
+        ctrFoldAccepted = nullptr;
+        ctrFoldDeclined = nullptr;
         ctrBankActs.clear();
         return;
     }
     ctrActs = &registry->counter("dram.acts");
+    ctrFoldAccepted = &registry->counter("dram.interleaved_fold.accepted");
+    ctrFoldDeclined = &registry->counter("dram.interleaved_fold.declined");
     ctrRefs = &registry->counter("dram.refs");
     ctrReadFlipBits = &registry->counter("dram.read_flip_bits");
     ctrBankActs.clear();

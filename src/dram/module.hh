@@ -110,7 +110,8 @@ class DramModule
      * actPlanned() loop (bank physics, TRR observation order, metrics)
      * when it succeeds; returns false with nothing mutated when any
      * bank's aggressors fail interleavedRoundsFoldable(), in which case
-     * the caller must fall back to the per-cycle loop.
+     * the caller must fall back to the per-cycle loop. Each outcome is
+     * counted as dram.interleaved_fold.accepted / .declined.
      */
     bool actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                              Time start, Time stride);
@@ -295,6 +296,10 @@ class DramModule
     Counter *ctrActs = nullptr;
     Counter *ctrRefs = nullptr;
     Counter *ctrReadFlipBits = nullptr;
+    /** actInterleavedBurst() outcomes (tier-dependent, like the
+     *  restore fast/slow tallies). */
+    Counter *ctrFoldAccepted = nullptr;
+    Counter *ctrFoldDeclined = nullptr;
     std::vector<Counter *> ctrBankActs;
 };
 

@@ -1,6 +1,7 @@
 #include "dram/row.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -12,6 +13,99 @@ namespace
 {
 
 const std::vector<Col> kNoFlips;
+
+/**
+ * Exact fold of @p passes repetitions of the add sequence
+ * `c += weight(0); ...; c += weight(m - 1);` — bit-identical to the
+ * loop, at O(m) per binade of @p c instead of O(m) per pass
+ * (DESIGN.md §17, "Exact folds").
+ *
+ * Inside one binade [2^e, 2^(e+1)) every double is an integer multiple
+ * k of ulp = 2^(e-52). With w >= 0, `c + w` is the exact k + w/ulp
+ * rounded to an integer, and that integer is k + d where d = w/ulp
+ * rounded to nearest — independent of k unless w/ulp has fraction
+ * exactly 0.5 (a tie, resolved to even k + d, so k's parity matters).
+ * While the charge stays in the binade, a pass therefore advances k by
+ * D = sum of d, and whole passes fold into one integer multiply. A
+ * pass runs live (the plain loop) when it would cross the binade top,
+ * at a tie, below 2^-1000 (zero and the subnormal range have no fixed
+ * ulp) and when anything is non-finite or a weight is negative.
+ */
+template <typename Weight>
+double
+foldPasses(double c, int m, int passes, Weight weight)
+{
+    constexpr std::uint64_t kBinadeTop = std::uint64_t{1} << 53;
+    constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
+    // 2^e for e in the normal range, built from its bit pattern.
+    const auto pow2 = [](int e) {
+        return std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023)
+                                     << 52);
+    };
+    // A binade evaluation is one long dependency chain that costs
+    // about as much as this many dependent adds: shorter runs go live.
+    constexpr std::int64_t kShortRunAdds = 16;
+    while (passes > 0) {
+        bool live = static_cast<std::int64_t>(passes) * m <= kShortRunAdds ||
+            !(c >= 0x1p-1000) || !std::isfinite(c);
+        std::uint64_t bits = 0;
+        std::uint64_t step = 0;
+        if (!live) {
+            // c = k * 2^(biased - 1075) with k in [2^52, 2^53).
+            bits = std::bit_cast<std::uint64_t>(c);
+            const int scale = 1075 - static_cast<int>(bits >> 52);
+            const std::uint64_t k = (bits & kFraction) | (kBinadeTop >> 1);
+            for (int i = 0; i < m; ++i) {
+                // w / ulp, exact: two power-of-two scalings, each in
+                // the normal range (an underflow can only hit weights
+                // far below half an ulp, which round to d = 0 anyway).
+                const double q = weight(i) * pow2(scale / 2) *
+                    pow2(scale - scale / 2);
+                if (!(q >= 0.0 && q < 0x1p53)) {
+                    live = true; // negative, non-finite or crossing
+                    break;
+                }
+                const auto whole = static_cast<std::uint64_t>(q);
+                const double frac = q - static_cast<double>(whole);
+#ifndef UTRR_MUTATION_ACCUM_TIE
+                if (frac == 0.5) {
+                    live = true; // a tie: the rounding depends on k
+                    break;
+                }
+#endif
+                // Deliberate mutation (-DUTRR_MUTATION=ON): the tie
+                // check above is compiled out, so a tie rounds down.
+                step += whole + (frac > 0.5 ? 1 : 0);
+                if (step >= kBinadeTop) {
+                    live = true; // one pass crosses the binade
+                    break;
+                }
+            }
+            if (!live && step == 0)
+                return c; // every add rounds back to c
+            // Passes that keep k below the binade top; the remaining
+            // ones usually all fit, which spares the 64-bit division.
+            const std::uint64_t room = kBinadeTop - 1 - k;
+            const auto want = static_cast<std::uint64_t>(passes);
+            const std::uint64_t folded = live ? 0
+                : static_cast<unsigned __int128>(want) * step <= room
+                ? want
+                : room / step;
+            if (folded != 0) {
+                // Same binade: keep the exponent, replace the fraction.
+                c = std::bit_cast<double>(
+                    (bits & ~kFraction) |
+                    ((k + folded * step) & kFraction));
+                passes -= static_cast<int>(folded);
+                continue;
+            }
+        }
+        for (int i = 0; i < m; ++i)
+            c += weight(i);
+        --passes;
+    }
+    return c;
+}
 
 } // namespace
 
@@ -352,13 +446,11 @@ RowState::addDisturbance(Row aggressor_phys, double added)
 void
 RowState::addDisturbanceRun(Row aggressor_phys, double added, int n)
 {
-    // n separate additions, not one multiply: FP addition is not
-    // associative and the charge must stay bit-identical to n
-    // interpreter-issued addDisturbance() calls.
-    double c = charge;
-    for (int i = 0; i < n; ++i)
-        c += added;
-    charge = c;
+    if (n <= 0)
+        return;
+    // Equal to n separate additions (not one multiply, which would
+    // round differently): see foldPasses.
+    charge = foldPasses(charge, 1, n, [added](int) { return added; });
     lastAggressor = aggressor_phys;
 }
 
@@ -367,19 +459,23 @@ RowState::addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
                                    const double *w_repeat, int m,
                                    int rounds)
 {
-    // Live weight resolution per add: the first pass may still see a
-    // pre-burst lastDisturber, and a single-aggressor victim takes the
-    // repeat weight throughout — both fall out of replaying the branch
-    // rather than precomputing a steady-state schedule.
+    if (m <= 0 || rounds <= 0)
+        return;
+    // The first pass runs live: it may still see a pre-burst
+    // lastDisturber. From then on the weight of add i depends only on
+    // its predecessor in the pass (the previous pass's last aggressor
+    // for i = 0), so every later pass adds the same weight sequence —
+    // and a single-aggressor victim takes the repeat weight throughout.
     double c = charge;
     Row last = lastAggressor;
-    for (int k = 0; k < rounds; ++k) {
-        for (int i = 0; i < m; ++i) {
-            c += last == aggrs[i] ? w_repeat[i] : w_first[i];
-            last = aggrs[i];
-        }
+    for (int i = 0; i < m; ++i) {
+        c += last == aggrs[i] ? w_repeat[i] : w_first[i];
+        last = aggrs[i];
     }
-    charge = c;
+    charge = foldPasses(c, m, rounds - 1, [&](int i) {
+        return aggrs[i == 0 ? m - 1 : i - 1] == aggrs[i] ? w_repeat[i]
+                                                          : w_first[i];
+    });
     lastAggressor = last;
 }
 

@@ -173,10 +173,10 @@ class RowState
 
     /**
      * Batched equivalent of @p n consecutive
-     * addDisturbance(@p aggressor_phys, @p added) calls. Performs n
-     * separate floating-point additions so the accumulation order — and
-     * therefore the resulting charge, bit for bit — matches n
-     * interpreter-issued ACTs.
+     * addDisturbance(@p aggressor_phys, @p added) calls: the resulting
+     * charge is bit-identical to n separate floating-point additions,
+     * but whole runs of them fold into exact integer-ulp steps (cost
+     * O(log n), DESIGN.md §17).
      */
     void addDisturbanceRun(Row aggressor_phys, double added, int n);
 
@@ -184,9 +184,9 @@ class RowState
      * Batched equivalent of @p rounds round-robin passes over @p m
      * disturbing aggressors: the add sequence aggrs[0], aggrs[1], ...,
      * aggrs[m-1] repeated @p rounds times. Each add resolves the
-     * repeat-vs-first weight from the row's live lastDisturber — and
-     * performs one separate floating-point addition — exactly as the
-     * matching interpreter-issued addDisturbance() calls would.
+     * repeat-vs-first weight from the live lastDisturber, and the
+     * charge is bit-identical to the matching interpreter-issued
+     * addDisturbance() calls; passes after the first fold exactly.
      */
     void addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
                                   const double *w_repeat, int m,

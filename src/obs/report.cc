@@ -98,18 +98,21 @@ wallClockKey(const std::string &key)
 }
 
 /**
- * Keys whose values depend on host memory management rather than
- * simulated device behaviour: the RowState copy-on-write tallies
- * change when a snapshot pins row containers (a cached-profile
- * campaign COW-copies rows a from-scratch run mutates in place), so
- * they cannot be part of the reuse-vs-scratch equality surface.
+ * Keys whose values depend on host memory management or the execution
+ * tier rather than simulated device behaviour: the RowState
+ * copy-on-write tallies change when a snapshot pins row containers (a
+ * cached-profile campaign COW-copies rows a from-scratch run mutates
+ * in place), and the restore fast/slow and interleaved-fold tallies
+ * count which substrate path ran, so none of them can be part of the
+ * reuse-vs-scratch or cross-tier equality surface.
  */
 bool
 memoryArtifactKey(const std::string &key)
 {
     for (const char *suffix :
          {".cow_copies", ".cow_shares", ".restore.fast_path",
-          ".restore.slow_path"}) {
+          ".restore.slow_path", ".interleaved_fold.accepted",
+          ".interleaved_fold.declined"}) {
         const std::size_t len = std::char_traits<char>::length(suffix);
         if (key.size() > len &&
             key.compare(key.size() - len, len, suffix) == 0)

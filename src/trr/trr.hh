@@ -69,17 +69,13 @@ class TrrMechanism
 
     /**
      * Observe @p count back-to-back ACTs of the same row with no other
-     * command in between (a fused hammer burst). The default simply
-     * replays onActivate() @p count times — every mechanism therefore
-     * sees exactly the command stream the interpreter would have issued;
-     * mechanisms whose per-ACT work is state-free may override to skip
-     * the loop.
+     * command in between (a fused hammer burst): the one-aggressor case
+     * of onActivateRoundRobin().
      */
-    virtual void
+    void
     onActivateBurst(Bank bank, Row phys_row, int count)
     {
-        for (int i = 0; i < count; ++i)
-            onActivate(bank, phys_row);
+        onActivateRoundRobin(&bank, &phys_row, 1, count);
     }
 
     /**
@@ -87,8 +83,9 @@ class TrrMechanism
      * ACT sequence rows[0], rows[1], ..., rows[n-1] repeated @p rounds
      * times with no other command in between (a fused interleaved
      * hammer, DESIGN.md §17). The default replays onActivate() in
-     * exactly that order; mechanisms whose per-ACT update commutes for
-     * already-tracked rows may override with a fold.
+     * exactly that order; a mechanism may override with an exact fold
+     * that leaves the same state (tables, samples, RNG position,
+     * ground truth) as that replay.
      */
     virtual void
     onActivateRoundRobin(const Bank *banks, const Row *phys_rows, int n,
@@ -145,7 +142,6 @@ class NoTrr : public TrrMechanism
 {
   public:
     void onActivate(Bank, Row) override {}
-    void onActivateBurst(Bank, Row, int) override {}
     void onActivateRoundRobin(const Bank *, const Row *, int, int) override
     {
     }

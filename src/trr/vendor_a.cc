@@ -17,20 +17,22 @@ VendorATrr::VendorATrr(int banks, Params params) : params(params)
 void
 VendorATrr::onActivate(Bank bank, Row phys_row)
 {
-    auto &state = bankState.at(static_cast<std::size_t>(bank));
-    auto &table = state.table;
+    activate(bank, phys_row);
+}
 
-    for (Entry &entry : table) {
-        if (entry.row == phys_row) {
-            ++entry.count;
-            return;
-        }
+bool
+VendorATrr::activate(Bank bank, Row phys_row)
+{
+    if (Entry *entry = findEntry(bank, phys_row)) {
+        ++entry->count;
+        return true;
     }
 
+    auto &table = bankState[static_cast<std::size_t>(bank)].table;
     if (table.size() <
         static_cast<std::size_t>(params.tableEntries)) {
         table.push_back({phys_row, 1});
-        return;
+        return false;
     }
 
     // Table full: evict the entry with the smallest counter (Obs. A5).
@@ -38,66 +40,47 @@ VendorATrr::onActivate(Bank bank, Row phys_row)
         table.begin(), table.end(),
         [](const Entry &a, const Entry &b) { return a.count < b.count; });
     *victim = {phys_row, 1};
+    return false;
 }
 
-void
-VendorATrr::onActivateBurst(Bank bank, Row phys_row, int count)
+VendorATrr::Entry *
+VendorATrr::findEntry(Bank bank, Row phys_row)
 {
-    // Exact fold of `count` same-row activations: the first ACT
-    // inserts (or evicts, Obs. A5) exactly as a lone one would, and
-    // every subsequent one finds the row and bumps its counter. No RNG
-    // is involved, so one scan plus a bulk increment is bit-identical
-    // to `count` scans.
-    if (count <= 0)
-        return;
     auto &table = bankState.at(static_cast<std::size_t>(bank)).table;
     for (Entry &entry : table) {
-        if (entry.row == phys_row) {
-            entry.count += static_cast<std::uint64_t>(count);
-            return;
-        }
+        if (entry.row == phys_row)
+            return &entry;
     }
-    if (table.size() < static_cast<std::size_t>(params.tableEntries)) {
-        table.push_back(
-            {phys_row, static_cast<std::uint64_t>(count)});
-        return;
-    }
-    auto victim = std::min_element(
-        table.begin(), table.end(),
-        [](const Entry &a, const Entry &b) { return a.count < b.count; });
-    *victim = {phys_row, static_cast<std::uint64_t>(count)};
+    return nullptr;
 }
 
 void
 VendorATrr::onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
                                  int n, int rounds)
 {
-    if (n <= 0 || rounds <= 0)
-        return;
-    // Foldable only when every aggressor already sits in its bank's
-    // table: an ACT of a tracked row is a pure counter increment (no
-    // insert, no Obs. A5 eviction), so `rounds` round-robin passes add
-    // exactly `rounds` to each entry regardless of order. Any miss
-    // could evict another listed row mid-sequence — replay per ACT.
-    std::vector<Entry *> hits(static_cast<std::size_t>(n), nullptr);
-    for (int i = 0; i < n; ++i) {
-        auto &table =
-            bankState.at(static_cast<std::size_t>(banks[i])).table;
-        for (Entry &entry : table) {
-            if (entry.row == phys_rows[i]) {
-                hits[static_cast<std::size_t>(i)] = &entry;
-                break;
-            }
-        }
-        if (hits[static_cast<std::size_t>(i)] == nullptr) {
-            TrrMechanism::onActivateRoundRobin(banks, phys_rows, n,
-                                               rounds);
-            return;
-        }
+    // Replay passes per ACT until one finds every listed row already
+    // in its bank's table: until then an insert could evict another
+    // listed row (Obs. A5). After such a pass every listed row stays
+    // resident, each ACT is a pure counter increment, and the
+    // remaining passes add exactly their count to each listed entry
+    // regardless of order.
+    int replayed = 0;
+    while (replayed < rounds) {
+        bool all_hit = true;
+        for (int i = 0; i < n; ++i)
+            all_hit = activate(banks[i], phys_rows[i]) && all_hit;
+        ++replayed;
+        if (all_hit)
+            break;
     }
-    for (int i = 0; i < n; ++i)
-        hits[static_cast<std::size_t>(i)]->count +=
-            static_cast<std::uint64_t>(rounds);
+    const int rest = rounds - replayed;
+    if (rest <= 0)
+        return;
+    // A row listed twice is found twice and bumped twice per pass.
+    for (int i = 0; i < n; ++i) {
+        findEntry(banks[i], phys_rows[i])->count +=
+            static_cast<std::uint64_t>(rest);
+    }
 }
 
 void

@@ -46,7 +46,6 @@ class VendorATrr : public TrrMechanism
     VendorATrr(int banks, Params params);
 
     void onActivate(Bank bank, Row phys_row) override;
-    void onActivateBurst(Bank bank, Row phys_row, int count) override;
     void onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
                               int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;
@@ -72,6 +71,12 @@ class VendorATrr : public TrrMechanism
         std::vector<Entry> table;
         std::size_t trefBPtr = 0;
     };
+
+    /** The bank's table entry for @p phys_row (null when absent). */
+    Entry *findEntry(Bank bank, Row phys_row);
+
+    /** onActivate(); true when @p phys_row was already in the table. */
+    bool activate(Bank bank, Row phys_row);
 
     Params params;
     std::vector<BankState> bankState;

@@ -55,6 +55,41 @@ VendorBTrr::onActivate(Bank bank, Row phys_row)
     }
 }
 
+void
+VendorBTrr::onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
+                                 int n, int rounds)
+{
+    // Exactly one draw per ACT, in ACT order, as onActivate() — but
+    // without virtual dispatch, and with the ground-truth bookkeeping
+    // batched: the last success per bank (or overall) is the sample
+    // onActivate() would leave, the sample counter grows by the number
+    // of successes, and the occupancy gauge (last write wins) is the
+    // occupancy after the last success, i.e. the final one. The
+    // generator lives in a local so the draw loop keeps it in
+    // registers.
+    Rng draws = rng;
+    const double p = params.sampleProbability;
+    std::uint64_t hits = 0;
+    for (int k = 0; k < rounds; ++k) {
+        for (int i = 0; i < n; ++i) {
+            if (!draws.chance(p))
+                continue;
+            ++hits;
+            if (params.perBank) {
+                bankSamples.at(static_cast<std::size_t>(banks[i])) =
+                    phys_rows[i];
+            } else {
+                sample = TrrRefreshAction{banks[i], phys_rows[i]};
+            }
+        }
+    }
+    rng = draws;
+    if (hits != 0 && gtSamples != nullptr) {
+        gtSamples->inc(hits);
+        recordOccupancy();
+    }
+}
+
 std::vector<TrrRefreshAction>
 VendorBTrr::onRefresh()
 {

@@ -50,6 +50,8 @@ class VendorBTrr : public TrrMechanism
     VendorBTrr(int banks, Params params, std::uint64_t seed);
 
     void onActivate(Bank bank, Row phys_row) override;
+    void onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
+                              int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;
     void reset() override;
     std::unique_ptr<TrrMechanism> clone() const override;

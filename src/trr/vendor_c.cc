@@ -1,5 +1,7 @@
 #include "trr/vendor_c.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace utrr
@@ -37,6 +39,41 @@ VendorCTrr::onActivate(Bank bank, Row phys_row)
         state.candidate = phys_row;
         if (gtCandidates != nullptr)
             gtCandidates->inc();
+    }
+}
+
+void
+VendorCTrr::onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
+                                 int n, int rounds)
+{
+    // A bank holding a candidate draws no RNG and only counts in-window
+    // ACTs up to windowActs (beyond the window it ignores them), so
+    // once every listed bank is locked at the start of a pass the rest
+    // of the sequence folds into one saturating add per listed ACT.
+    // Until then, replay per ACT: a sample may lock, or a candidate-less
+    // window may run out and reopen (Obs. C1).
+    const auto all_locked = [&] {
+        for (int i = 0; i < n; ++i) {
+            if (!bankState.at(static_cast<std::size_t>(banks[i])).candidate)
+                return false;
+        }
+        return true;
+    };
+    int replayed = 0;
+    for (; replayed < rounds && !all_locked(); ++replayed) {
+        for (int i = 0; i < n; ++i)
+            VendorCTrr::onActivate(banks[i], phys_rows[i]);
+    }
+    const std::int64_t rest = rounds - replayed;
+    if (rest <= 0)
+        return;
+    // A bank listed twice takes both of its saturating adds.
+    for (int i = 0; i < n; ++i) {
+        BankState &state = bankState[static_cast<std::size_t>(banks[i])];
+        if (state.actsInWindow < params.windowActs) {
+            state.actsInWindow = static_cast<int>(std::min<std::int64_t>(
+                params.windowActs, state.actsInWindow + rest));
+        }
     }
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dram/row.hh"
@@ -381,6 +386,183 @@ TEST(DiffReadout, DenseDiffMatchesNaiveBitProbe)
                   static_cast<int>(fast.size()));
         EXPECT_TRUE(std::is_sorted(fast.begin(), fast.end()));
     }
+}
+
+// --- Exact fold of disturbance accumulation (DESIGN.md §17) -------------
+
+/** A weight from one of the fold's stress families. */
+double
+foldWeight(Rng &rng, int family)
+{
+    switch (family) {
+      case 0: // dyadic: w/ulp often lands exactly on a .5 tie
+        return static_cast<double>(rng.uniformInt(0, 16)) *
+            std::ldexp(1.0, static_cast<int>(rng.uniformInt(-70, -40)));
+      case 1: // tiny, down to the smallest subnormal
+        return rng.chance(0.3)
+            ? std::numeric_limits<double>::denorm_min() *
+                static_cast<double>(rng.uniformInt(0, 5))
+            : rng.uniformReal(0.0, 1e-300);
+      case 2: // huge: the charge overflows to infinity mid-run
+        return rng.uniformReal(1e300, 1e305);
+      default: // realistic disturbance weights, sometimes zero
+        return rng.chance(0.1)
+            ? 0.0
+            : rng.uniformReal(0.5, 3.0) *
+                std::ldexp(1.0, static_cast<int>(rng.uniformInt(-10, 10)));
+    }
+}
+
+/** A starting charge: zero, tiny, or just below a binade top. */
+double
+foldStart(Rng &rng)
+{
+    const double pick = rng.uniform();
+    if (pick < 0.3)
+        return 0.0;
+    if (pick < 0.4)
+        return rng.uniformReal(0.0, 1e-305);
+    const double top =
+        std::ldexp(1.0, static_cast<int>(rng.uniformInt(-20, 20)));
+    return pick < 0.7
+        ? top - static_cast<double>(rng.uniformInt(1, 64)) *
+            std::ldexp(top, -53)
+        : rng.uniformReal(0.0, top);
+}
+
+std::string
+rowChargeText(const RowState &row)
+{
+    std::ostringstream out;
+    out << std::bit_cast<std::uint64_t>(row.hammerCharge()) << " ("
+        << row.hammerCharge() << ") last " << row.lastDisturber();
+    return out.str();
+}
+
+/**
+ * Random cases comparing addDisturbanceRun / addDisturbanceRoundRobin
+ * with the plain addDisturbance loop they stand for. Returns the number
+ * of cases whose charge bits or last disturber differ; @p first_diff
+ * describes the first.
+ */
+int
+foldMismatches(std::uint64_t seed, int cases, std::string *first_diff)
+{
+    Rng rng(seed);
+    int mismatches = 0;
+    for (int c = 0; c < cases; ++c) {
+        const int family = static_cast<int>(rng.uniformInt(0, 3));
+        const int m = static_cast<int>(rng.uniformInt(1, 8));
+        const int rounds = static_cast<int>(rng.uniformInt(0, 3'000));
+        Row aggrs[8];
+        double w_first[8];
+        double w_repeat[8];
+        for (int i = 0; i < m; ++i) {
+            // Mostly distinct aggressors (as a bank lists them), with
+            // an occasional repeat to exercise the repeat weight.
+            aggrs[i] = rng.chance(0.1) && i > 0
+                ? aggrs[rng.uniformInt(0, i - 1)]
+                : static_cast<Row>(100 + i);
+            w_first[i] = foldWeight(rng, family);
+            w_repeat[i] = foldWeight(rng, family);
+        }
+        const double start = foldStart(rng);
+        const Row pre = rng.chance(0.5) ? aggrs[m - 1] : 7;
+
+        RowState folded = makeRow(RowPhysics{});
+        RowState looped = makeRow(RowPhysics{});
+        folded.addDisturbance(pre, start);
+        looped.addDisturbance(pre, start);
+        if (rng.chance(0.3)) {
+            folded.addDisturbanceRun(aggrs[0], w_first[0], rounds);
+            for (int k = 0; k < rounds; ++k)
+                looped.addDisturbance(aggrs[0], w_first[0]);
+        } else {
+            folded.addDisturbanceRoundRobin(aggrs, w_first, w_repeat, m,
+                                            rounds);
+            for (int k = 0; k < rounds; ++k) {
+                for (int i = 0; i < m; ++i) {
+                    looped.addDisturbance(
+                        aggrs[i], looped.lastDisturber() == aggrs[i]
+                            ? w_repeat[i]
+                            : w_first[i]);
+                }
+            }
+        }
+        const std::string got = rowChargeText(folded);
+        const std::string want = rowChargeText(looped);
+        if (got == want)
+            continue;
+        if (mismatches++ == 0 && first_diff != nullptr) {
+            *first_diff = "case " + std::to_string(c) + ": folded " +
+                got + ", looped " + want;
+        }
+    }
+    return mismatches;
+}
+
+#ifndef UTRR_MUTATION_ACCUM_TIE
+// These assume the clean tree; the mutation build runs only the
+// MutationSanity case below.
+
+TEST(RowState, AccumulationFoldIsBitIdenticalToTheAddLoop)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        std::string diff;
+        EXPECT_EQ(foldMismatches(seed, 5'000, &diff), 0)
+            << "seed " << seed << ", " << diff;
+    }
+}
+
+TEST(RowState, AccumulationFoldResolvesTiesLive)
+{
+    // From 1.0 (ulp 2^-52) each add of 3 * 2^-53 is a tie; ties go to
+    // the even neighbour, so the charge grows by 2 ulps per add, not
+    // the 1 ulp a round-down would give.
+    const double w = 3.0 * std::ldexp(1.0, -53);
+    RowState folded = makeRow(RowPhysics{});
+    RowState looped = makeRow(RowPhysics{});
+    folded.addDisturbance(1, 1.0);
+    looped.addDisturbance(1, 1.0);
+    folded.addDisturbanceRun(2, w, 1'000);
+    for (int i = 0; i < 1'000; ++i)
+        looped.addDisturbance(2, w);
+    EXPECT_EQ(rowChargeText(folded), rowChargeText(looped));
+    EXPECT_EQ(folded.hammerCharge(), 1.0 + 2'000 * std::ldexp(1.0, -52));
+}
+
+TEST(RowState, AccumulationFoldKeepsFirstPassLastDisturber)
+{
+    // The first pass sees the pre-burst last disturber: aggrs[0] takes
+    // its repeat weight only if it disturbed the row last.
+    const Row aggrs[2] = {10, 11};
+    const double w_first[2] = {1.0, 2.0};
+    const double w_repeat[2] = {100.0, 200.0};
+    RowState row = makeRow(RowPhysics{});
+    row.addDisturbance(10, 0.0);
+    row.addDisturbanceRoundRobin(aggrs, w_first, w_repeat, 2, 3);
+    EXPECT_EQ(row.hammerCharge(), 100.0 + 2.0 + 2 * (1.0 + 2.0));
+    EXPECT_EQ(row.lastDisturber(), 11);
+}
+
+#endif // !UTRR_MUTATION_ACCUM_TIE
+
+/**
+ * Mutation sanity for the accumulation fold: UTRR_MUTATION makes a tie
+ * (w/ulp with fraction exactly 0.5) round down inside the fold instead
+ * of running live. The random property sweep must notice; without the
+ * mutation the identical sweep must be clean.
+ */
+TEST(MutationSanity, AccumulationFoldPropertyCatchesTieRounding)
+{
+    std::string diff;
+    const int mismatches = foldMismatches(1, 5'000, &diff);
+#ifdef UTRR_MUTATION_ACCUM_TIE
+    EXPECT_GT(mismatches, 0)
+        << "fold property sweep missed the planted tie bug";
+#else
+    EXPECT_EQ(mismatches, 0) << diff;
+#endif
 }
 
 } // namespace

@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hh"
 #include "dram/module.hh"
+#include "obs/metrics.hh"
 #include "softmc/compiler.hh"
 #include "softmc/host.hh"
+#include "trr/vendor_a.hh"
+#include "trr/vendor_b.hh"
+#include "trr/vendor_c.hh"
 
 namespace utrr
 {
@@ -333,6 +343,154 @@ TEST_F(HostFixture, CompiledAndInterpretedTiersMatchBitForBit)
         EXPECT_EQ(a.reads[i].readout.rawFlips(),
                   b.reads[i].readout.rawFlips());
     }
+}
+
+/** White-box TRR state of every bank, for cross-tier comparison. */
+std::string
+trrStateText(DramModule &module)
+{
+    const TrrMechanism &trr = module.trrMechanism();
+    std::ostringstream out;
+    const int banks = module.spec().banks;
+    for (Bank b = 0; b < banks; ++b) {
+        out << "b" << b << ":";
+        if (const auto *a = dynamic_cast<const VendorATrr *>(&trr)) {
+            for (const auto &[row, count] : a->tableOf(b))
+                out << " " << row << "=" << count;
+        } else if (const auto *v = dynamic_cast<const VendorBTrr *>(&trr)) {
+            out << " " << v->currentSampleOf(b).value_or(-1);
+            if (b == 0 && v->currentSample())
+                out << " chip " << v->currentSample()->aggressorPhysRow;
+        } else if (const auto *c = dynamic_cast<const VendorCTrr *>(&trr)) {
+            out << " " << c->candidateOf(b).value_or(-1) << "@"
+                << c->windowActsOf(b);
+        }
+        out << "\n";
+    }
+    out << module.groundTruthProbe().snapshot().dump();
+    return out.str();
+}
+
+/**
+ * A TrrAnalyzer-style run through the immediate API: initialize
+ * victims and 2-8 aggressors, then alternate interleaved hammering
+ * with uneven per-aggressor counts, REFs and victim reads. Appends the
+ * TRR state after every hammer to @p trr_states.
+ */
+std::vector<RowReadout>
+analyzerStyleRun(SoftMcHost &host, DramModule &module, std::uint64_t seed,
+                 std::vector<std::string> &trr_states)
+{
+    Rng rng(seed);
+    std::vector<RowReadout> reads;
+    for (int experiment = 0; experiment < 6; ++experiment) {
+        const int n = static_cast<int>(rng.uniformInt(2, 8));
+        const Row base = static_cast<Row>(rng.uniformInt(1'000, 3'000));
+        std::vector<std::pair<Bank, Row>> aggrs;
+        std::vector<int> counts;
+        for (int i = 0; i < n; ++i) {
+            // Every other row, so victims sit between aggressors; a
+            // second bank joins from four aggressors on.
+            const Bank bank = n >= 4 && i == n - 1 ? 1 : 0;
+            aggrs.emplace_back(bank, base + 2 * i);
+            counts.push_back(
+                static_cast<int>(rng.uniformInt(200, 1'500)));
+            host.writeRow(bank, base + 2 * i, DataPattern::allZeros());
+            host.writeRow(bank, base + 2 * i + 1, DataPattern::allOnes());
+        }
+        for (int slot = 0; slot < 4; ++slot) {
+            host.hammerInterleaved(aggrs, counts);
+            trr_states.push_back(trrStateText(module));
+            for (int r = static_cast<int>(rng.uniformInt(1, 9)); r > 0;
+                 --r)
+                host.ref();
+        }
+        for (const auto &[bank, row] : aggrs)
+            reads.push_back(host.readRow(bank, row + 1));
+    }
+    return reads;
+}
+
+TEST(InterleavedHammer, CompiledFoldMatchesInterpreterPerTrrVersion)
+{
+    // One module per TRR version; the compiled host folds the rounds
+    // (physics and TRR observation), the interpreted one issues every
+    // ACT. Trace, readouts, accounting and TRR state must all agree.
+    for (const char *name :
+         {"A0", "A13", "B0", "B9", "B13", "C0", "C9", "C12"}) {
+        SCOPED_TRACE(name);
+        const ModuleSpec spec = *findModuleSpec(name);
+        DramModule fast_module(spec, 7);
+        DramModule slow_module(spec, 7);
+        MetricsRegistry registry;
+        fast_module.attachMetrics(&registry);
+        SoftMcHost fast(fast_module);
+        SoftMcHost slow(slow_module);
+        fast.setExecMode(ExecMode::kCompiled);
+        slow.setExecMode(ExecMode::kInterpreted);
+        fast.trace().enable(std::size_t{1} << 19);
+        slow.trace().enable(std::size_t{1} << 19);
+
+        std::vector<std::string> fast_trr;
+        std::vector<std::string> slow_trr;
+        const std::vector<RowReadout> a =
+            analyzerStyleRun(fast, fast_module, 11, fast_trr);
+        const std::vector<RowReadout> b =
+            analyzerStyleRun(slow, slow_module, 11, slow_trr);
+
+        EXPECT_GT(registry.counter("dram.interleaved_fold.accepted").value,
+                  0u)
+            << "the compiled run never reached the interleaved fold";
+        EXPECT_EQ(fast.trace().recorded(), slow.trace().recorded());
+        EXPECT_EQ(fast.trace().contentHash(), slow.trace().contentHash());
+        EXPECT_EQ(fast.now(), slow.now());
+        EXPECT_EQ(fast.actCount(), slow.actCount());
+        EXPECT_EQ(fast_module.refCount(), slow_module.refCount());
+        EXPECT_EQ(fast_module.trrEventCount(), slow_module.trrEventCount());
+        EXPECT_EQ(fast_module.trrRefreshCount(),
+                  slow_module.trrRefreshCount());
+        EXPECT_EQ(fast_trr, slow_trr);
+        EXPECT_EQ(trrStateText(fast_module), trrStateText(slow_module));
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(a[i].rawFlips(), b[i].rawFlips());
+        }
+    }
+}
+
+TEST(InterleavedHammer, VrtAggressorDeclinesTheFold)
+{
+    // A VRT row's restores draw telegraph RNG one at a time, so a bank
+    // must decline to fold rounds that hammer it; the per-cycle path
+    // runs instead and the decline is counted.
+    const ModuleSpec spec = *findModuleSpec("A5");
+    DramModule module(spec, 3);
+    Row vrt_phys = kInvalidRow;
+    for (Row r = 2; r < spec.physRowsPerBank() - 2; ++r) {
+        const RowPhysics phys = module.physics().generateRetention(0, r);
+        for (const WeakCell &cell : phys.weakCells)
+            vrt_phys = cell.vrt ? r : vrt_phys;
+        if (vrt_phys != kInvalidRow)
+            break;
+    }
+    ASSERT_NE(vrt_phys, kInvalidRow) << "no VRT row in bank 0";
+    const Row vrt_row = module.toLogical(0, vrt_phys);
+    const Row other_row = vrt_row < 100 ? vrt_row + 50 : vrt_row - 50;
+
+    MetricsRegistry registry;
+    module.attachMetrics(&registry);
+    SoftMcHost host(module);
+    host.setExecMode(ExecMode::kCompiled);
+    host.hammerInterleaved({{0, vrt_row}, {0, other_row}}, {500, 500});
+    EXPECT_EQ(registry.counter("dram.interleaved_fold.declined").value, 1u);
+    EXPECT_EQ(registry.counter("dram.interleaved_fold.accepted").value, 0u);
+    EXPECT_EQ(registry.counter("dram.acts").value, 1'000u);
+
+    // Without the VRT row the same call folds.
+    host.hammerInterleaved({{0, other_row}, {0, other_row + 4}},
+                           {500, 500});
+    EXPECT_EQ(registry.counter("dram.interleaved_fold.accepted").value, 1u);
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "trr/vendor_a.hh"
+#include "trr_fold_check.hh"
 
 namespace utrr
 {
@@ -176,6 +177,54 @@ TEST(VendorATrr, ResetClearsState)
     for (int i = 0; i < 8; ++i)
         EXPECT_TRUE(trr.onRefresh().empty());
     EXPECT_FALSE(trr.onRefresh().empty());
+}
+
+/** Every bank's table, in slot order (eviction picks by slot). */
+FoldView
+tableView(int banks)
+{
+    return [banks](const TrrMechanism &trr) {
+        const auto &a = dynamic_cast<const VendorATrr &>(trr);
+        std::ostringstream out;
+        for (Bank b = 0; b < banks; ++b) {
+            for (const auto &[row, count] : a.tableOf(b))
+                out << b << ":" << row << "=" << count << " ";
+            out << "| ";
+        }
+        return out.str();
+    };
+}
+
+TEST(VendorATrr, RoundRobinAndBurstFoldsMatchPerActReplay)
+{
+    // Forty rows over four banks overflow the 16-entry tables, so the
+    // checks cover inserts and Obs. A5 evictions ahead of the fold.
+    FoldCheckShape shape;
+    shape.rowPool = 40;
+    for (const TrrVersion version :
+         {TrrVersion::kATrr1, TrrVersion::kATrr2}) {
+        SCOPED_TRACE(trrVersionName(version));
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            checkFoldMatchesReplay(makeTrr(version, shape.banks, seed),
+                                   tableView(shape.banks), seed, shape);
+        }
+    }
+}
+
+TEST(VendorATrr, FoldMatchesReplayUnderEvictionThrash)
+{
+    // Up to eight listed rows per bank against a 4-entry table: a pass
+    // listing more than four rows of one bank evicts listed rows, so
+    // the fold must keep replaying it.
+    FoldCheckShape shape;
+    shape.banks = 2;
+    shape.rowPool = 12;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        checkFoldMatchesReplay(
+            std::make_unique<VendorATrr>(shape.banks,
+                                         VendorATrr::Params{4, 9}),
+            tableView(shape.banks), seed, shape);
+    }
 }
 
 } // namespace

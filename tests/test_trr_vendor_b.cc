@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "trr/vendor_b.hh"
+#include "trr_fold_check.hh"
 
 namespace utrr
 {
@@ -140,6 +141,37 @@ TEST(VendorBTrr, ResetClearsSampleAndPhase)
     for (int ref = 1; ref <= 4; ++ref) {
         const auto actions = trr.onRefresh();
         EXPECT_EQ(!actions.empty(), ref == 4);
+    }
+}
+
+/** The chip-wide sample and every per-bank sample. */
+FoldView
+sampleView(int banks)
+{
+    return [banks](const TrrMechanism &trr) {
+        const auto &b = dynamic_cast<const VendorBTrr &>(trr);
+        std::ostringstream out;
+        if (const auto s = b.currentSample())
+            out << s->bank << ":" << s->aggressorPhysRow;
+        out << " |";
+        for (Bank bank = 0; bank < banks; ++bank)
+            out << " " << b.currentSampleOf(bank).value_or(-1);
+        return out.str();
+    };
+}
+
+TEST(VendorBTrr, RoundRobinAndBurstFoldsMatchPerActReplay)
+{
+    // The fold keeps one draw per ACT in ACT order, so the RNG stream
+    // position — and every later sample — must match the replay.
+    const FoldCheckShape shape;
+    for (const TrrVersion version :
+         {TrrVersion::kBTrr1, TrrVersion::kBTrr2, TrrVersion::kBTrr3}) {
+        SCOPED_TRACE(trrVersionName(version));
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            checkFoldMatchesReplay(makeTrr(version, shape.banks, seed),
+                                   sampleView(shape.banks), seed, shape);
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "trr/vendor_c.hh"
+#include "trr_fold_check.hh"
 
 namespace utrr
 {
@@ -160,6 +161,51 @@ TEST(VendorCTrr, ShortWindowVersion)
     for (int ref = 1; ref <= 8; ++ref) {
         const auto actions = trr.onRefresh();
         EXPECT_EQ(!actions.empty(), ref == 8);
+    }
+}
+
+/** Every bank's candidate and in-window ACT count. */
+FoldView
+windowView(int banks)
+{
+    return [banks](const TrrMechanism &trr) {
+        const auto &c = dynamic_cast<const VendorCTrr &>(trr);
+        std::ostringstream out;
+        for (Bank b = 0; b < banks; ++b) {
+            out << b << ":" << c.candidateOf(b).value_or(-1) << "@"
+                << c.windowActsOf(b) << " ";
+        }
+        return out.str();
+    };
+}
+
+TEST(VendorCTrr, RoundRobinAndBurstFoldsMatchPerActReplay)
+{
+    const FoldCheckShape shape;
+    for (const TrrVersion version :
+         {TrrVersion::kCTrr1, TrrVersion::kCTrr2, TrrVersion::kCTrr3}) {
+        SCOPED_TRACE(trrVersionName(version));
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            checkFoldMatchesReplay(makeTrr(version, shape.banks, seed),
+                                   windowView(shape.banks), seed, shape);
+        }
+    }
+}
+
+TEST(VendorCTrr, FoldMatchesReplayAcrossWindowWraps)
+{
+    // A 16-ACT window sampled at 1/2000 usually runs out empty and
+    // reopens (Obs. C1) before any candidate locks, so the replay
+    // phase ahead of the fold spans many window wraps.
+    VendorCTrr::Params params;
+    params.trrRefPeriod = 3;
+    params.windowActs = 16;
+    params.sampleProbability = 1.0 / 2'000.0;
+    const FoldCheckShape shape;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        checkFoldMatchesReplay(
+            std::make_unique<VendorCTrr>(shape.banks, params, seed),
+            windowView(shape.banks), seed, shape);
     }
 }
 
