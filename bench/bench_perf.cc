@@ -99,8 +99,8 @@ void
 BM_CompiledHammer(benchmark::State &state)
 {
     // Steady-state throughput of the compiled tier on a pre-lowered
-    // hammer program: one kHammer batch op per 1000-ACT burst, applied
-    // through DramBank::applyActivationBurst. Compile cost excluded —
+    // hammer program: one kHammer batch op per 1000-ACT burst, folded
+    // by SoftMcHost's round-robin engine (n = 1). Compile cost excluded —
     // the delta against BM_HammerLoopInterpreted is the fusion win.
     DramModule module(benchSpec(TrrVersion::kNone), 1);
     SoftMcHost host(module);

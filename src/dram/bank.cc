@@ -177,6 +177,9 @@ DramBank::buildActPlan(Row phys_row, Time now)
 void
 DramBank::activatePlanned(const ActPlan &plan, Time now)
 {
+    UTRR_ASSERT(open == kInvalidRow,
+                logFmt("ACT to bank ", id, " with row ", open,
+                       " still open"));
     ++acts;
     RowState &aggr = *plan.aggr;
     if (aggr.needsHammerCells())
@@ -191,11 +194,10 @@ DramBank::activatePlanned(const ActPlan &plan, Time now)
 }
 
 bool
-DramBank::interleavedRoundsFoldable(const ActPlan *const *plans, int n,
+DramBank::interleavedRoundsFoldable(const ActPlan *const *plans,
+                                    const Time *first_times, int n,
                                     Time round_gap) const
 {
-    if (n > kMaxInterleavedFold)
-        return false; // keeps applyInterleavedRounds allocation-free
     for (int i = 0; i < n; ++i) {
         // A duplicate aggressor would restore twice per pass, breaking
         // the one-fast-forward-per-aggressor bookkeeping below.
@@ -218,7 +220,13 @@ DramBank::interleavedRoundsFoldable(const ActPlan *const *plans, int n,
                     bound += std::max(pv.wFirst, pv.wRepeat);
             }
         }
-        if (!plans[i]->aggr->restoresFastForwardable(round_gap, bound))
+        // The first restore comes first_times[i] - lastRefresh after
+        // the previous one, every later one round_gap after its
+        // predecessor.
+        const RowState &aggr = *plans[i]->aggr;
+        const Time gap =
+            std::max(round_gap, first_times[i] - aggr.lastRefresh());
+        if (!aggr.restoresFastForwardable(gap, bound))
             return false;
     }
     return true;
@@ -226,22 +234,17 @@ DramBank::interleavedRoundsFoldable(const ActPlan *const *plans, int n,
 
 void
 DramBank::applyInterleavedRounds(const ActPlan *const *plans,
-                                 const Time *last_times, int n, int rounds)
+                                 const Time *first_times, int n,
+                                 int rounds, Time round_gap)
 {
-    // Non-aggressor victims: gather each unique row's contributors in
-    // round order, then replay `rounds` passes of per-ACT additions
-    // with the live repeat-weight branch (addDisturbanceRoundRobin).
-    // All scratch lives on the stack — kMaxInterleavedFold aggressors
-    // with at most 4 planned victims each, every aggressor hitting a
-    // given victim at most once per pass.
-    struct VictimSeq
-    {
-        RowState *state;
-        int m;
-        Row aggrs[kMaxInterleavedFold];
-        double wFirst[kMaxInterleavedFold];
-        double wRepeat[kMaxInterleavedFold];
-    };
+    UTRR_ASSERT(open == kInvalidRow,
+                logFmt("ACT to bank ", id, " with row ", open,
+                       " still open"));
+    // Non-aggressor victims: at each row's first occurrence, gather its
+    // contributors in round order, then replay `rounds` passes with the
+    // live repeat-weight branch (addDisturbanceRoundRobin). Every
+    // aggressor hits a given victim at most once per pass, so a victim
+    // has at most n contributors; the scratch lives on the stack.
     const auto isListedAggr = [&](const RowState *s) {
         for (int k = 0; k < n; ++k) {
             if (plans[k]->aggr == s)
@@ -249,35 +252,37 @@ DramBank::applyInterleavedRounds(const ActPlan *const *plans,
         }
         return false;
     };
-    VictimSeq seqs[kMaxInterleavedFold * 4];
-    int seqCount = 0;
+    const auto victimOf = [&](int k, const RowState *s)
+        -> const ActPlan::PlannedVictim * {
+        for (int v = 0; v < plans[k]->victimCount; ++v) {
+            if (plans[k]->victims[v].state == s)
+                return &plans[k]->victims[v];
+        }
+        return nullptr;
+    };
+    Row aggrs[kMaxInterleavedFold];
+    double wFirst[kMaxInterleavedFold];
+    double wRepeat[kMaxInterleavedFold];
     for (int i = 0; i < n; ++i) {
         for (int v = 0; v < plans[i]->victimCount; ++v) {
-            const ActPlan::PlannedVictim &pv = plans[i]->victims[v];
-            if (isListedAggr(pv.state))
+            RowState *state = plans[i]->victims[v].state;
+            bool seen = isListedAggr(state);
+            for (int k = 0; k < i && !seen; ++k)
+                seen = victimOf(k, state) != nullptr;
+            if (seen)
                 continue;
-            VictimSeq *seq = nullptr;
-            for (int s = 0; s < seqCount; ++s) {
-                if (seqs[s].state == pv.state) {
-                    seq = &seqs[s];
-                    break;
+            int m = 0;
+            for (int k = i; k < n; ++k) {
+                if (const ActPlan::PlannedVictim *pv = victimOf(k, state)) {
+                    aggrs[m] = plans[k]->phys;
+                    wFirst[m] = pv->wFirst;
+                    wRepeat[m] = pv->wRepeat;
+                    ++m;
                 }
             }
-            if (seq == nullptr) {
-                seq = &seqs[seqCount++];
-                seq->state = pv.state;
-                seq->m = 0;
-            }
-            seq->aggrs[seq->m] = plans[i]->phys;
-            seq->wFirst[seq->m] = pv.wFirst;
-            seq->wRepeat[seq->m] = pv.wRepeat;
-            ++seq->m;
+            state->addDisturbanceRoundRobin(aggrs, wFirst, wRepeat, m,
+                                            rounds);
         }
-    }
-    for (int s = 0; s < seqCount; ++s) {
-        seqs[s].state->addDisturbanceRoundRobin(
-            seqs[s].aggrs, seqs[s].wFirst, seqs[s].wRepeat, seqs[s].m,
-            rounds);
     }
 
     // Aggressors: every pass restores each one on the proven fast path,
@@ -288,7 +293,8 @@ DramBank::applyInterleavedRounds(const ActPlan *const *plans,
     // loop would leave them.
     for (int i = 0; i < n; ++i) {
         plans[i]->aggr->fastForwardRestores(
-            last_times[i], static_cast<std::uint64_t>(rounds));
+            first_times[i] + static_cast<Time>(rounds - 1) * round_gap,
+            static_cast<std::uint64_t>(rounds));
     }
     for (int i = 0; i < n; ++i) {
         for (int v = 0; v < plans[i]->victimCount; ++v) {
@@ -305,64 +311,6 @@ DramBank::applyInterleavedRounds(const ActPlan *const *plans,
     }
     acts += static_cast<std::uint64_t>(n) *
         static_cast<std::uint64_t>(rounds);
-}
-
-void
-DramBank::applyActivationBurst(Row phys_row, int count, Time start,
-                               Time cycle)
-{
-    // Plan building materializes the aggressor first and then the
-    // victims in exactly the interpreter's -1/+1/-2/+2 order, and the
-    // coupling word it caches does not depend on the aggressor's charge
-    // (storedWord0 reads pattern + overrides only), so building before
-    // cycle 0 is value-identical to activate()'s restore-then-disturb
-    // sequence — with one row lookup per row instead of activate()'s
-    // pass plus a second plan-build pass.
-    const ActPlan plan = buildActPlan(phys_row, start);
-    applyActivationBurstPlanned(plan, count, start, cycle);
-}
-
-void
-DramBank::applyActivationBurstPlanned(const ActPlan &plan, int count,
-                                      Time start, Time cycle)
-{
-    UTRR_ASSERT(count >= 1, "activation burst needs at least one cycle");
-    UTRR_ASSERT(open == kInvalidRow,
-                logFmt("ACT to bank ", id, " with row ", open,
-                       " still open"));
-    // Cycle 0 through the plan's live weight branch (activatePlanned
-    // bumps the ACT counter, attaches hammer cells on demand, restores
-    // the aggressor and disturbs the planned victims).
-    activatePlanned(plan, start);
-    if (count <= 1)
-        return;
-
-    RowState &aggr = *plan.aggr;
-    const int rest = count - 1;
-
-    // A row is never its own neighbour, so after the cycle-0 restore
-    // the aggressor's charge stays zero for the whole burst and each
-    // per-cycle restore is provably the fast path — unless the row has
-    // VRT cells, whose telegraph draws are visible state and must
-    // happen one restore at a time.
-    if (aggr.restoresFastForwardable(cycle)) {
-        for (int i = 0; i < plan.victimCount; ++i) {
-            const ActPlan::PlannedVictim &v = plan.victims[i];
-            // Cycle 0 made this row every victim's last disturber and
-            // nothing else touches them mid-burst, so the repeat weight
-            // applies to all remaining cycles.
-            v.state->addDisturbanceRun(plan.phys, v.wRepeat, rest);
-        }
-        acts += static_cast<std::uint64_t>(rest);
-        aggr.fastForwardRestores(start + static_cast<Time>(rest) * cycle,
-                                 static_cast<std::uint64_t>(rest));
-    } else {
-        Time now = start;
-        for (int i = 0; i < rest; ++i) {
-            now += cycle;
-            activatePlanned(plan, now);
-        }
-    }
 }
 
 void

@@ -93,59 +93,36 @@ class DramBank
      */
     void activatePlanned(const ActPlan &plan, Time now);
 
-    /**
-     * Execute @p count ACT+PRE cycles of @p phys_row, @p cycle ns apart
-     * starting at @p start, in one call — bit-identical to the same loop
-     * of activate()/precharge(). Cycle 0 runs the standard path (exact
-     * materialization order and hammer-cell attach); the remaining
-     * cycles run off an ActPlan, and when the aggressor's restores are
-     * provably all fast-path its per-cycle bookkeeping collapses to one
-     * fast-forward while each victim's charge still accumulates with
-     * per-ACT floating-point additions.
-     */
-    void applyActivationBurst(Row phys_row, int count, Time start,
-                              Time cycle);
-
-    /**
-     * applyActivationBurst() from a prebuilt plan — the form behind the
-     * host's cross-call plan cache. Every row the plan references is
-     * already materialized (plan building materializes), so cycle 0 is
-     * a plain activatePlanned() and no per-burst row lookups remain.
-     * The plan must still be valid: no WR/wrWord landed in this bank
-     * and no snapshot restore replaced the row storage since it was
-     * built (DramModule::planEpoch() tracks both).
-     */
-    void applyActivationBurstPlanned(const ActPlan &plan, int count,
-                                     Time start, Time cycle);
-
-    /**
-     * True when @p rounds round-robin ACT+PRE passes over the @p n
-     * planned aggressors (all in this bank, in global round order, one
-     * ACT each per pass, consecutive restores of the same aggressor
-     * @p round_gap ns apart) can be applied as one fold by
-     * applyInterleavedRounds(): distinct aggressor rows, and every
-     * aggressor's restores provably fast-path even with the worst-case
-     * charge the other listed aggressors can pump into it per round.
-     * Pure check — mutates nothing.
-     */
     /** Most aggressors one interleaved fold accepts (stack bounds). */
     static constexpr int kMaxInterleavedFold = 8;
 
-    bool interleavedRoundsFoldable(const ActPlan *const *plans, int n,
+    /**
+     * True when round-robin ACT+PRE passes over the @p n planned
+     * aggressors (all in this bank, in global round order, one ACT each
+     * per pass, aggressor i first at @p first_times[i] and then every
+     * @p round_gap ns) can be applied as one fold by
+     * applyInterleavedRounds(): distinct aggressor rows, and every
+     * aggressor's restores — the first one included — provably
+     * fast-path even with the worst-case charge the other listed
+     * aggressors can pump into it per round. A single-row burst is the
+     * n = 1 case. Pure check — mutates nothing.
+     */
+    bool interleavedRoundsFoldable(const ActPlan *const *plans,
+                                   const Time *first_times, int n,
                                    Time round_gap) const;
 
     /**
      * Apply @p rounds round-robin passes over the planned aggressors in
      * one call — bit-identical to the same actPlanned() loop. Victim
-     * charge accumulates with per-ACT floating-point additions in round
-     * order; each aggressor's restores collapse to one fast-forward at
-     * @p last_times[i] (its final-pass ACT) plus the surviving
-     * final-pass disturbances from later-in-round aggressors. The
-     * caller must have checked interleavedRoundsFoldable().
+     * charge folds exactly in round order (addDisturbanceRoundRobin);
+     * each aggressor's restores collapse to one fast-forward at its
+     * final-pass ACT plus the surviving final-pass disturbances from
+     * later-in-round aggressors. The caller must have checked
+     * interleavedRoundsFoldable() with the same times.
      */
     void applyInterleavedRounds(const ActPlan *const *plans,
-                                const Time *last_times, int n,
-                                int rounds);
+                                const Time *first_times, int n,
+                                int rounds, Time round_gap);
 
     /** Write a whole-row pattern into the open row. */
     void writeOpenRow(const DataPattern &pattern, Row pattern_row,

@@ -93,38 +93,6 @@ DramModule::act(Bank bank, Row logical_row, Time now)
     }
 }
 
-void
-DramModule::actBurst(Bank bank, Row logical_row, int count, Time start,
-                     Time cycle)
-{
-    const Row phys = toPhysical(bank, logical_row);
-    bankAt(bank).applyActivationBurst(phys, count, start, cycle);
-    // Each fused cycle opens and immediately closes the row, so the
-    // open-row register ends (and stays) invalid.
-    openLogical[static_cast<std::size_t>(bank)] = kInvalidRow;
-    trr->onActivateBurst(bank, phys, count);
-    if (ctrActs != nullptr) {
-        ctrActs->inc(static_cast<std::uint64_t>(count));
-        ctrBankActs[static_cast<std::size_t>(bank)]->inc(
-            static_cast<std::uint64_t>(count));
-    }
-}
-
-void
-DramModule::actBurstPlanned(const ActPlan &plan, int count, Time start,
-                            Time cycle)
-{
-    plan.bankPtr->applyActivationBurstPlanned(plan.bankPlan, count,
-                                              start, cycle);
-    openLogical[static_cast<std::size_t>(plan.bank)] = kInvalidRow;
-    trr->onActivateBurst(plan.bank, plan.phys, count);
-    if (ctrActs != nullptr) {
-        ctrActs->inc(static_cast<std::uint64_t>(count));
-        ctrBankActs[static_cast<std::size_t>(plan.bank)]->inc(
-            static_cast<std::uint64_t>(count));
-    }
-}
-
 DramModule::ActPlan
 DramModule::buildActPlan(Bank bank, Row logical_row, Time now)
 {
@@ -137,16 +105,9 @@ DramModule::buildActPlan(Bank bank, Row logical_row, Time now)
 }
 
 bool
-DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
-                                Time start, Time stride)
+DramModule::foldRounds(const ActPlan *plans, int n, int rounds, Time start,
+                       Time stride)
 {
-    const auto decline = [this] {
-        if (ctrFoldDeclined != nullptr)
-            ctrFoldDeclined->inc();
-        return false;
-    };
-    if (n <= 0 || n > DramBank::kMaxInterleavedFold || rounds <= 0)
-        return decline();
     // Group the plans per bank (preserving global round order — the
     // within-bank subsequence keeps every victim's contributor order
     // and the earlier/later-in-round aggressor relation intact), and
@@ -157,7 +118,7 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
     const Time round_gap = static_cast<Time>(n) * stride;
     DramBank *banks[kCap];
     const DramBank::ActPlan *groups[kCap][kCap];
-    Time lastTimes[kCap][kCap];
+    Time firstTimes[kCap][kCap];
     int groupSize[kCap] = {};
     int bankCount = 0;
     for (int i = 0; i < n; ++i) {
@@ -168,36 +129,68 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
         if (g == bankCount)
             banks[bankCount++] = bank;
         groups[g][groupSize[g]] = &plans[i].bankPlan;
-        // This aggressor's final-pass ACT lands at global slot
-        // (rounds-1)*n + i of the fused train.
-        lastTimes[g][groupSize[g]] = start +
-            (static_cast<Time>(rounds - 1) * static_cast<Time>(n) +
-             static_cast<Time>(i)) *
-                stride;
+        // This aggressor's first ACT lands at global slot i of the
+        // fused train.
+        firstTimes[g][groupSize[g]] = start + static_cast<Time>(i) * stride;
         ++groupSize[g];
     }
     for (int g = 0; g < bankCount; ++g) {
-        if (!banks[g]->interleavedRoundsFoldable(groups[g], groupSize[g],
-                                                 round_gap)) {
-            return decline();
+        if (!banks[g]->interleavedRoundsFoldable(
+                groups[g], firstTimes[g], groupSize[g], round_gap)) {
+            return false;
         }
     }
     for (int g = 0; g < bankCount; ++g) {
-        banks[g]->applyInterleavedRounds(groups[g], lastTimes[g],
-                                         groupSize[g], rounds);
+        banks[g]->applyInterleavedRounds(groups[g], firstTimes[g],
+                                         groupSize[g], rounds, round_gap);
+    }
+    return true;
+}
+
+void
+DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
+                                Time start, Time stride)
+{
+    UTRR_ASSERT(n <= DramBank::kMaxInterleavedFold,
+                "too many aggressors for one burst");
+    if (n <= 0 || rounds <= 0)
+        return;
+    const Time round_gap = static_cast<Time>(n) * stride;
+    // Per-cycle physics of rounds [from, to) — what a declined fold
+    // replays. TRR observation is separate (below).
+    const auto replay = [&](int from, int to) {
+        for (int k = from; k < to; ++k) {
+            for (int i = 0; i < n; ++i) {
+                plans[i].bankPtr->activatePlanned(
+                    plans[i].bankPlan,
+                    start + static_cast<Time>(k) * round_gap +
+                        static_cast<Time>(i) * stride);
+            }
+        }
+    };
+    bool folded = foldRounds(plans, n, rounds, start, stride);
+    if (!folded) {
+        // Typically an aggressor's first restore may commit flips (it
+        // has not been restored for long): run that round per cycle,
+        // then fold the rest.
+        replay(0, 1);
+        folded = rounds > 1 &&
+            foldRounds(plans, n, rounds - 1, start + round_gap, stride);
+        if (!folded)
+            replay(1, rounds);
     }
     // TRR observes the exact round-robin ACT order (folded or replayed
     // per mechanism); the TRR tables never read bank charge state
     // mid-burst, so physics-then-TRR ordering is state-preserving.
-    Bank trrBanks[kCap];
-    Row trrRows[kCap];
+    Bank trrBanks[DramBank::kMaxInterleavedFold];
+    Row trrRows[DramBank::kMaxInterleavedFold];
     for (int i = 0; i < n; ++i) {
         trrBanks[i] = plans[i].bank;
         trrRows[i] = plans[i].phys;
     }
     trr->onActivateRoundRobin(trrBanks, trrRows, n, rounds);
     if (ctrActs != nullptr) {
-        ctrFoldAccepted->inc();
+        (folded ? ctrFoldAccepted : ctrFoldDeclined)->inc();
         ctrActs->inc(static_cast<std::uint64_t>(n) *
                      static_cast<std::uint64_t>(rounds));
         for (int i = 0; i < n; ++i) {
@@ -205,7 +198,6 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                 static_cast<std::uint64_t>(rounds));
         }
     }
-    return true;
 }
 
 void

@@ -72,14 +72,6 @@ class DramModule
     // the physical work, the TRR mechanism still observes every ACT.
     // ------------------------------------------------------------------
 
-    /**
-     * Execute @p count ACT+PRE cycles of one logical row, @p cycle ns
-     * apart starting at @p start. Requires the bank to be precharged;
-     * it is precharged again afterwards.
-     */
-    void actBurst(Bank bank, Row logical_row, int count, Time start,
-                  Time cycle);
-
     /** A bank ActPlan plus the module-level addressing around it. */
     struct ActPlan
     {
@@ -103,26 +95,21 @@ class DramModule
     void actPlanned(const ActPlan &plan, Time now);
 
     /**
-     * Attempt to apply @p rounds round-robin ACT+PRE passes over the
-     * @p n planned aggressors in one call — the ACT sequence plans[0],
-     * plans[1], ..., plans[n-1] repeated @p rounds times, one ACT every
-     * @p stride ns starting at @p start. Bit-identical to the matching
-     * actPlanned() loop (bank physics, TRR observation order, metrics)
-     * when it succeeds; returns false with nothing mutated when any
-     * bank's aggressors fail interleavedRoundsFoldable(), in which case
-     * the caller must fall back to the per-cycle loop. Each outcome is
-     * counted as dram.interleaved_fold.accepted / .declined.
+     * Apply @p rounds round-robin ACT+PRE passes over the @p n planned
+     * aggressors in one call — the ACT sequence plans[0], plans[1],
+     * ..., plans[n-1] repeated @p rounds times, one ACT every @p stride
+     * ns starting at @p start; a single-row burst is n = 1 (n is at
+     * most DramBank::kMaxInterleavedFold).
+     * Bit-identical to the matching actPlanned() loop (bank physics,
+     * TRR observation order, metrics). The physics folds when every
+     * bank's aggressors pass interleavedRoundsFoldable(), else after a
+     * first round run per cycle, else it replays per cycle; TRR
+     * observation always goes through onActivateRoundRobin(). Whether
+     * the physics folded is counted as dram.interleaved_fold.accepted
+     * / .declined.
      */
-    bool actInterleavedBurst(const ActPlan *plans, int n, int rounds,
+    void actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                              Time start, Time stride);
-
-    /**
-     * actBurst() from a prebuilt plan (cross-call plan-cache path).
-     * The caller must have checked that planEpoch() still equals the
-     * epoch the plan was built under.
-     */
-    void actBurstPlanned(const ActPlan &plan, int count, Time start,
-                         Time cycle);
 
     /**
      * Monotonic counter that advances whenever a cached ActPlan could
@@ -268,6 +255,10 @@ class DramModule
     void publishPerfCounters();
 
   private:
+    /** Fold the physics of actInterleavedBurst() if every bank agrees;
+     *  false with nothing mutated otherwise. */
+    bool foldRounds(const ActPlan *plans, int n, int rounds, Time start,
+                    Time stride);
     std::vector<Row> victimRowsOf(Row aggressor_phys) const;
     Counter &gtVictimCounter(Bank bank, Row phys_row);
 

@@ -444,17 +444,6 @@ RowState::addDisturbance(Row aggressor_phys, double added)
 }
 
 void
-RowState::addDisturbanceRun(Row aggressor_phys, double added, int n)
-{
-    if (n <= 0)
-        return;
-    // Equal to n separate additions (not one multiply, which would
-    // round differently): see foldPasses.
-    charge = foldPasses(charge, 1, n, [added](int) { return added; });
-    lastAggressor = aggressor_phys;
-}
-
-void
 RowState::addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
                                    const double *w_repeat, int m,
                                    int rounds)

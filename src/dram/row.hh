@@ -172,15 +172,6 @@ class RowState
     void addDisturbance(Row aggressor_phys, double charge);
 
     /**
-     * Batched equivalent of @p n consecutive
-     * addDisturbance(@p aggressor_phys, @p added) calls: the resulting
-     * charge is bit-identical to n separate floating-point additions,
-     * but whole runs of them fold into exact integer-ulp steps (cost
-     * O(log n), DESIGN.md §17).
-     */
-    void addDisturbanceRun(Row aggressor_phys, double added, int n);
-
-    /**
      * Batched equivalent of @p rounds round-robin passes over @p m
      * disturbing aggressors: the add sequence aggrs[0], aggrs[1], ...,
      * aggrs[m-1] repeated @p rounds times. Each add resolves the
@@ -193,24 +184,13 @@ class RowState
                                   int rounds);
 
     /**
-     * True when restoreCharge() called with a gap of @p gap ns from the
-     * row's current (zero-charge) state is guaranteed to take the
-     * fast path — i.e. a uniform train of restores @p gap apart can be
-     * fast-forwarded without any per-call check. VRT rows never qualify
-     * (their telegraph RNG draws are visible state).
-     */
-    bool restoresFastForwardable(Time gap) const
-    {
-        return !vrtRow && charge < hammerFloor && gap <= minRetCache;
-    }
-
-    /**
-     * Variant for restores with disturbance landing in between: true
-     * when every restore of a uniform train @p gap apart is guaranteed
-     * the fast path even if the row accrues up to @p charge_bound extra
-     * charge between consecutive restores (each restore wipes the
-     * accrual, so the pre-restore charge never exceeds the current
-     * charge plus @p charge_bound).
+     * True when every restoreCharge() of a uniform train @p gap ns
+     * apart, starting from the row's current state, is guaranteed the
+     * fast path even if the row accrues up to @p charge_bound charge
+     * between consecutive restores (each restore wipes the accrual, so
+     * the pre-restore charge never exceeds the current charge plus
+     * @p charge_bound). VRT rows never qualify (their telegraph RNG
+     * draws are visible state).
      */
     bool restoresFastForwardable(Time gap, double charge_bound) const
     {
@@ -221,8 +201,8 @@ class RowState
     /**
      * Batched equivalent of @p n consecutive fast-path restoreCharge()
      * calls, the last one at @p last_now. The caller must have verified
-     * restoresFastForwardable() for the uniform step, and that no
-     * disturbance lands on this row between the restores.
+     * restoresFastForwardable() for the uniform step and the charge
+     * that lands on this row between the restores.
      */
     void fastForwardRestores(Time last_now, std::uint64_t n);
 

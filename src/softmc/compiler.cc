@@ -21,7 +21,7 @@ internPattern(std::vector<DataPattern> &pool, const DataPattern &pattern)
 } // namespace
 
 CompiledProgram
-ProgramCompiler::compile(const Program &program)
+ProgramCompiler::compile(const Program &program, bool fuse)
 {
     CompiledProgram out;
     const std::vector<Instr> &ins = program.instructions();
@@ -33,7 +33,7 @@ ProgramCompiler::compile(const Program &program)
     while (i < n) {
         const Instr &a = ins[i];
 
-        if (a.op == Op::kAct && i + 1 < n) {
+        if (fuse && a.op == Op::kAct && i + 1 < n) {
             const Instr &b = ins[i + 1];
 
             // A run of [ACT, PRE] pairs on one (bank, row) is a hammer
@@ -94,7 +94,7 @@ ProgramCompiler::compile(const Program &program)
         }
 
         // Consecutive REFs become one burst op.
-        if (a.op == Op::kRef) {
+        if (fuse && a.op == Op::kRef) {
             int count = 0;
             while (i < n && ins[i].op == Op::kRef) {
                 ++count;
@@ -140,7 +140,8 @@ ProgramCompiler::compile(const Program &program)
             op.waitNs = a.waitNs;
             break;
           case Op::kRef:
-            // Handled by the run-fusion above.
+            op.kind = CompiledOpKind::kRefBurst;
+            op.count = 1;
             break;
         }
         out.ops.push_back(op);

@@ -3,17 +3,17 @@
  * Program pre-compilation: lower a softmc::Program into a pre-resolved
  * op stream (DESIGN.md §17).
  *
- * The interpreter dispatches one DDR command at a time; most recorded
- * programs are dominated by a handful of shapes — hammer loops
- * (ACT+PRE pairs), whole-row accesses (ACT/WR/PRE, ACT/RD/PRE) and REF
- * runs. The compiler recognizes those shapes once, ahead of execution,
- * and emits compact batch ops carrying a repeat count, so the executor
- * makes one dispatch per batch and the DRAM substrate can apply a whole
- * hammer burst through DramBank::applyActivationBurst instead of one
- * ACT at a time. Compilation never changes behaviour: the op stream
- * replays the exact command sequence, and SoftMcHost falls back to the
- * interpreter whenever a collaborator (mitigation, fault injector)
- * needs per-command hooks.
+ * Most recorded programs are dominated by a handful of shapes — hammer
+ * loops (ACT+PRE pairs), whole-row accesses (ACT/WR/PRE, ACT/RD/PRE)
+ * and REF runs. The compiler recognizes those shapes once, ahead of
+ * execution, and emits compact batch ops carrying a repeat count, so
+ * the executor makes one dispatch per batch and a hammer op runs as a
+ * folded SoftMcHost::hammer() burst instead of one ACT at a time.
+ * Compilation never changes behaviour: the op stream replays the exact
+ * command sequence. Compiling with fusion off passes every instruction
+ * through one-to-one — the interpreted tier, and what SoftMcHost runs
+ * whenever a collaborator (mitigation, fault injector) needs
+ * per-command hooks.
  */
 
 #ifndef UTRR_SOFTMC_COMPILER_HH
@@ -84,7 +84,9 @@ struct CompiledProgram
 class ProgramCompiler
 {
   public:
-    static CompiledProgram compile(const Program &program);
+    /** Lower @p program; unfused, a REF becomes a kRefBurst of 1. */
+    static CompiledProgram compile(const Program &program,
+                                   bool fuse = true);
 };
 
 } // namespace utrr

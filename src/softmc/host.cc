@@ -51,7 +51,8 @@ StopRequested::StopRequested(Time now_ns)
 }
 
 SoftMcHost::SoftMcHost(DramModule &module, Timing timing)
-    : dram(module), timingParams(timing), planCache(kPlanCacheSlots)
+    : dram(module), timingParams(timing), planCache(kPlanCacheSlots),
+      hammerPlans(kMaxScratchAggr), hammerLeft(kMaxScratchAggr)
 {
 }
 
@@ -64,20 +65,6 @@ SoftMcHost::planSlotFor(Bank bank, Row row)
          static_cast<std::size_t>(static_cast<std::uint32_t>(bank))) %
         kPlanCacheSlots;
     return planCache[h];
-}
-
-const DramModule::ActPlan &
-SoftMcHost::cachedPlan(Bank bank, Row row)
-{
-    PlanCacheEntry &entry = planSlotFor(bank, row);
-    if (entry.bank != bank || entry.row != row ||
-        entry.epoch != dram.planEpoch()) {
-        entry.plan = dram.buildActPlan(bank, row, clock);
-        entry.bank = bank;
-        entry.row = row;
-        entry.epoch = dram.planEpoch();
-    }
-    return entry.plan;
 }
 
 void
@@ -161,10 +148,7 @@ SoftMcHost::checkWatchdog()
     // The stop flag shares the watchdog's poll point (after every
     // command); the null check keeps the fault-free hot path to one
     // predictable branch.
-    if (stopFlag != nullptr &&
-        stopFlag->load(std::memory_order_relaxed)) {
-        throw StopRequested(clock);
-    }
+    pollStopFlag();
     if (wdDeadline >= 0 && clock > wdDeadline)
         throw WatchdogTimeout(wdBudget, wdDeadline, clock, acts, refCmds);
 }
@@ -361,7 +345,7 @@ SoftMcHost::canBatchHammer(std::int64_t cycles) const
         fault != nullptr || cycles <= 1) {
         return false;
     }
-    // The interpreter's watchdog fires after the ACT that crosses the
+    // The per-command watchdog fires after the ACT that crosses the
     // deadline (mid-burst, with the bank left open); if any ACT of this
     // burst could cross it, run the exact per-cycle path instead. The
     // last ACT's poll point is at start + (cycles-1)*hammerCycle + tRAS.
@@ -375,32 +359,8 @@ void
 SoftMcHost::hammer(Bank bank, Row row, int count)
 {
     UTRR_PROF_SCOPE_SIM("softmc.hammer", &clock);
-    if (!canBatchHammer(count)) {
-        for (int i = 0; i < count; ++i)
-            hammerOnce(bank, row);
-        return;
-    }
-    // Fused burst: one substrate call applies every cycle's physical
-    // side effects bit-identically (see DramBank::applyActivationBurst);
-    // the host replays the per-cycle trace records and advances the
-    // clock by the same per-cycle increments, summed. The plan cache
-    // makes back-to-back bursts of the same row (dummy fills hammer the
-    // same handful every REF slot) skip translation and row lookups.
-    const Time cycle = timingParams.hammerCycle();
-    dram.actBurstPlanned(cachedPlan(bank, row), count, clock, cycle);
-    if (cmdTrace.enabled()) {
-        Time t = clock;
-        for (int i = 0; i < count; ++i) {
-            cmdTrace.record(TraceKind::kAct, bank, row, t,
-                            timingParams.tRAS);
-            cmdTrace.record(TraceKind::kPre, bank, kInvalidRow,
-                            t + timingParams.tRAS, timingParams.tRP);
-            t += cycle;
-        }
-    }
-    clock += static_cast<Time>(count) * cycle;
-    acts += static_cast<std::uint64_t>(count);
-    checkWatchdog();
+    const std::pair<Bank, Row> aggr{bank, row};
+    hammerRoundRobin(&aggr, &count, 1);
 }
 
 void
@@ -411,170 +371,111 @@ SoftMcHost::hammerInterleaved(
     UTRR_PROF_SCOPE_SIM("softmc.hammer_interleaved", &clock);
     UTRR_ASSERT(rows.size() == counts.size(),
                 "one count per aggressor row");
+    hammerRoundRobin(rows.data(), counts.data(), rows.size());
+}
+
+void
+SoftMcHost::hammerPlanned(const DramModule::ActPlan &plan, Bank bank,
+                          Row row)
+{
+    // act()+pre() minus the lookups and the watchdog poll, which
+    // canBatchHammer pre-checked for the whole run.
+    dram.actPlanned(plan, clock);
+    cmdTrace.record(TraceKind::kAct, bank, row, clock, timingParams.tRAS);
+    clock += timingParams.tRAS;
+    ++acts;
+    pollStopFlag();
+    cmdTrace.record(TraceKind::kPre, bank, kInvalidRow, clock,
+                    timingParams.tRP);
+    clock += timingParams.tRP;
+}
+
+const DramModule::ActPlan &
+SoftMcHost::hammerPlan(Bank bank, Row row, Time first_act)
+{
+    PlanCacheEntry &entry = planSlotFor(bank, row);
+    if (entry.bank != bank || entry.row != row ||
+        entry.epoch != dram.planEpoch()) {
+        // Building materializes the aggressor, then its victims in the
+        // per-command -1/+1/-2/+2 order, at the time its first ACT
+        // would have: value-identical to activate()'s own lookups.
+        entry.plan = dram.buildActPlan(bank, row, first_act);
+        entry.bank = bank;
+        entry.row = row;
+        entry.epoch = dram.planEpoch();
+    }
+    return entry.plan;
+}
+
+void
+SoftMcHost::hammerRoundRobin(const std::pair<Bank, Row> *rows,
+                             const int *counts, std::size_t n)
+{
     std::int64_t total = 0;
-    for (int c : counts)
-        total += std::max(c, 0);
-    if (!canBatchHammer(total)) {
-        bool remaining = true;
-        std::vector<int> left(counts);
-        while (remaining) {
-            remaining = false;
-            for (std::size_t i = 0; i < rows.size(); ++i) {
-                if (left[i] <= 0)
-                    continue;
-                hammerOnce(rows[i].first, rows[i].second);
-                if (--left[i] > 0)
-                    remaining = true;
-            }
+    int cmin = n == 0 ? 0 : counts[0];
+    for (std::size_t i = 0; i < n; ++i) {
+        total += std::max(counts[i], 0);
+        cmin = std::min(cmin, counts[i]);
+    }
+    const bool batch = canBatchHammer(total);
+
+    if (hammerLeft.size() < n) {
+        hammerPlans.resize(n);
+        hammerLeft.resize(n);
+    }
+    DramModule::ActPlan *plans = hammerPlans.data();
+    int *left = hammerLeft.data();
+    std::copy(counts, counts + n, left);
+
+    // Plans for every aggressor that hammers, each as of its first-round
+    // ACT (an aggressor with no cycles must not materialize rows).
+    const Time cycle = timingParams.hammerCycle();
+    Time first_act = clock;
+    for (std::size_t i = 0; batch && i < n; ++i) {
+        if (counts[i] > 0) {
+            plans[i] = hammerPlan(rows[i].first, rows[i].second, first_act);
+            first_act += cycle;
         }
-        return;
     }
 
-    // Batched round-robin: the first activation of each aggressor runs
-    // the standard path (materializing its victim rows at exactly the
-    // interpreter's simulated times), then an ActPlan caches the
-    // resolved addresses, row states and pre-multiplied weights for
-    // every later cycle. Alternating aggressors share victims, so the
-    // per-cycle lastDisturber branch stays live inside actPlanned.
-    const std::size_t n = rows.size();
-    // Scratch stays on the stack for the common small fan-outs; a
-    // heap-allocated vector per call would eat a measurable slice of
-    // the fold's win (the batched path runs once per REF slot).
-    constexpr std::size_t kStackAggr = 16;
-    DramModule::ActPlan plansBuf[kStackAggr];
-    char plannedBuf[kStackAggr];
-    int leftBuf[kStackAggr];
-    std::vector<DramModule::ActPlan> plansHeap;
-    std::vector<char> plannedHeap;
-    std::vector<int> leftHeap;
-    DramModule::ActPlan *plans = plansBuf;
-    char *planned = plannedBuf;
-    int *left = leftBuf;
-    if (n > kStackAggr) {
-        plansHeap.resize(n);
-        plannedHeap.assign(n, 0);
-        leftHeap.assign(counts.begin(), counts.end());
-        plans = plansHeap.data();
-        planned = plannedHeap.data();
-        left = leftHeap.data();
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            planned[i] = 0;
-            left[i] = counts[i];
-        }
-    }
-    const Time ras = timingParams.tRAS;
-    const Time rp = timingParams.tRP;
-
-    // When every aggressor hammers at least once, run the first pass
-    // eagerly (same act/pre/plan order as the lazy loop below) and try
-    // to fold the uniform min(counts)-1 remaining passes into a single
-    // substrate call; stragglers with larger counts — or the whole run
-    // when a bank declines the fold (VRT aggressor, charge too close to
-    // a threshold, duplicate rows) — finish on the per-cycle path.
-    int cmin = counts.empty() ? 0 : counts[0];
-    for (int c : counts)
-        cmin = std::min(cmin, c);
-    if (n > 0 && cmin >= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const Bank bank = rows[i].first;
-            const Row row = rows[i].second;
-            PlanCacheEntry &entry = planSlotFor(bank, row);
-            if (entry.bank == bank && entry.row == row &&
-                entry.epoch == dram.planEpoch()) {
-                // Cache hit: the same actPlanned + trace/clock replay
-                // as the per-cycle planned step below — bit-identical
-                // to act()+pre(), minus the second victim pass and the
-                // plan rebuild.
-                dram.actPlanned(entry.plan, clock);
-                cmdTrace.record(TraceKind::kAct, bank, row, clock, ras);
-                clock += ras;
-                ++acts;
-                if (stopFlag != nullptr &&
-                    stopFlag->load(std::memory_order_relaxed)) {
-                    throw StopRequested(clock);
-                }
-                cmdTrace.record(TraceKind::kPre, bank, kInvalidRow,
-                                clock, rp);
-                clock += rp;
-                plans[i] = entry.plan;
-            } else {
-                act(bank, row);
-                pre(bank);
-                plans[i] = dram.buildActPlan(bank, row, clock);
-                entry.plan = plans[i];
-                entry.bank = bank;
-                entry.row = row;
-                entry.epoch = dram.planEpoch();
-            }
-            planned[i] = 1;
-            --left[i];
-        }
-        const int fold = cmin - 1;
-        if (fold >= 1 &&
-            dram.actInterleavedBurst(plans, static_cast<int>(n),
-                                     fold, clock, ras + rp)) {
-            if (cmdTrace.enabled()) {
-                Time t = clock;
-                for (int k = 0; k < fold; ++k) {
-                    for (std::size_t i = 0; i < n; ++i) {
-                        cmdTrace.record(TraceKind::kAct, rows[i].first,
-                                        rows[i].second, t, ras);
-                        cmdTrace.record(TraceKind::kPre, rows[i].first,
-                                        kInvalidRow, t + ras, rp);
-                        t += ras + rp;
-                    }
+    // The uniform min(counts) rounds go to the module in one call
+    // (folded where provably exact); the host replays their trace
+    // records and clock. Stragglers with larger counts — and every
+    // cycle when batching is off — then issue round-robin one by one.
+    if (batch && cmin >= 1 && n <= DramBank::kMaxInterleavedFold) {
+        dram.actInterleavedBurst(plans, static_cast<int>(n), cmin, clock,
+                                 cycle);
+        if (cmdTrace.enabled()) {
+            Time t = clock;
+            for (int k = 0; k < cmin; ++k) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    cmdTrace.record(TraceKind::kAct, rows[i].first,
+                                    rows[i].second, t, timingParams.tRAS);
+                    cmdTrace.record(TraceKind::kPre, rows[i].first,
+                                    kInvalidRow, t + timingParams.tRAS,
+                                    timingParams.tRP);
+                    t += cycle;
                 }
             }
-            clock += static_cast<Time>(fold) * static_cast<Time>(n) *
-                (ras + rp);
-            acts += static_cast<std::uint64_t>(n) *
-                static_cast<std::uint64_t>(fold);
-            for (std::size_t i = 0; i < n; ++i)
-                left[i] -= fold;
-            // The fused span polls cancellation once instead of per ACT
-            // (the watchdog was pre-checked for the whole run).
-            if (stopFlag != nullptr &&
-                stopFlag->load(std::memory_order_relaxed)) {
-                throw StopRequested(clock);
-            }
         }
+        clock += static_cast<Time>(cmin) * static_cast<Time>(n) * cycle;
+        acts += static_cast<std::uint64_t>(n) *
+            static_cast<std::uint64_t>(cmin);
+        for (std::size_t i = 0; i < n; ++i)
+            left[i] -= cmin;
+        // The fused span polls cancellation once instead of per ACT.
+        pollStopFlag();
     }
-
-    bool remaining = false;
-    for (std::size_t i = 0; i < n; ++i)
-        remaining = remaining || left[i] > 0;
-    while (remaining) {
+    for (bool remaining = true; remaining;) {
         remaining = false;
         for (std::size_t i = 0; i < n; ++i) {
             if (left[i] <= 0)
                 continue;
-            if (!planned[i]) {
-                act(rows[i].first, rows[i].second);
-                pre(rows[i].first);
-                plans[i] =
-                    dram.buildActPlan(rows[i].first, rows[i].second,
-                                      clock);
-                planned[i] = 1;
-            } else {
-                dram.actPlanned(plans[i], clock);
-                cmdTrace.record(TraceKind::kAct, rows[i].first,
-                                rows[i].second, clock, ras);
-                clock += ras;
-                ++acts;
-                // The interpreter polls the stop flag after every ACT;
-                // keep the same cancellation latency (the watchdog
-                // itself was pre-checked for the whole run).
-                if (stopFlag != nullptr &&
-                    stopFlag->load(std::memory_order_relaxed)) {
-                    throw StopRequested(clock);
-                }
-                cmdTrace.record(TraceKind::kPre, rows[i].first,
-                                kInvalidRow, clock, rp);
-                clock += rp;
-            }
-            if (--left[i] > 0)
-                remaining = true;
+            if (batch)
+                hammerPlanned(plans[i], rows[i].first, rows[i].second);
+            else
+                hammerOnce(rows[i].first, rows[i].second);
+            remaining = --left[i] > 0 || remaining;
         }
     }
 }
@@ -633,14 +534,12 @@ ExecResult
 SoftMcHost::execute(const Program &program)
 {
     // Mitigation and fault injection hook individual commands (e.g. a
-    // dropped hammer ACT exists only on the immediate API); programs
-    // run under them stay on the interpreter so every per-command hook
-    // fires exactly as recorded.
-    if (execModeV != ExecMode::kCompiled || mitigation != nullptr ||
-        fault != nullptr) {
-        return executeInterpreted(program);
-    }
-    return executeCompiled(ProgramCompiler::compile(program));
+    // dropped hammer ACT exists only on the immediate API), so programs
+    // run under them — and on the interpreted tier — compile unfused:
+    // every hook fires exactly as recorded.
+    const bool fuse = execModeV == ExecMode::kCompiled &&
+        mitigation == nullptr && fault == nullptr;
+    return executeCompiled(ProgramCompiler::compile(program, fuse));
 }
 
 ExecResult
@@ -650,6 +549,15 @@ SoftMcHost::executeCompiled(const CompiledProgram &compiled)
     ExecResult result;
     result.startTime = clock;
     result.reads.reserve(compiled.readCount);
+    // RD of the open row, recorded under its logical address.
+    const auto capture = [&](Bank bank) {
+        ReadRecord record;
+        record.bank = bank;
+        record.row = dram.toLogical(bank, dram.bankAt(bank).openRow());
+        record.when = clock;
+        record.readout = rd(bank);
+        result.reads.push_back(std::move(record));
+    };
     for (const CompiledOp &op : compiled.ops) {
         switch (op.kind) {
           case CompiledOpKind::kHammer:
@@ -661,18 +569,11 @@ SoftMcHost::executeCompiled(const CompiledProgram &compiled)
                             op.patternIdx)]);
             pre(op.bank);
             break;
-          case CompiledOpKind::kReadRow: {
+          case CompiledOpKind::kReadRow:
             act(op.bank, op.row);
-            ReadRecord record;
-            record.bank = op.bank;
-            record.row = dram.toLogical(
-                op.bank, dram.bankAt(op.bank).openRow());
-            record.when = clock;
-            record.readout = rd(op.bank);
-            result.reads.push_back(std::move(record));
+            capture(op.bank);
             pre(op.bank);
             break;
-          }
           case CompiledOpKind::kRefBurst:
             for (int i = 0; i < op.count; ++i)
                 ref();
@@ -690,67 +591,14 @@ SoftMcHost::executeCompiled(const CompiledProgram &compiled)
           case CompiledOpKind::kWrWord:
             wrWord(op.bank, op.wordIdx, op.value);
             break;
-          case CompiledOpKind::kRd: {
-            ReadRecord record;
-            record.bank = op.bank;
-            record.row = dram.toLogical(
-                op.bank, dram.bankAt(op.bank).openRow());
-            record.when = clock;
-            record.readout = rd(op.bank);
-            result.reads.push_back(std::move(record));
+          case CompiledOpKind::kRd:
+            capture(op.bank);
             break;
-          }
           case CompiledOpKind::kWait:
             wait(op.waitNs);
             break;
           case CompiledOpKind::kWaitRef:
             waitWithRefresh(op.waitNs);
-            break;
-        }
-    }
-    result.endTime = clock;
-    return result;
-}
-
-ExecResult
-SoftMcHost::executeInterpreted(const Program &program)
-{
-    UTRR_PROF_SCOPE_SIM("softmc.execute", &clock);
-    ExecResult result;
-    result.startTime = clock;
-    for (const Instr &instr : program.instructions()) {
-        switch (instr.op) {
-          case Op::kAct:
-            act(instr.bank, instr.row);
-            break;
-          case Op::kPre:
-            pre(instr.bank);
-            break;
-          case Op::kWr:
-            wr(instr.bank, instr.pattern);
-            break;
-          case Op::kWrWord:
-            wrWord(instr.bank, instr.wordIdx, instr.value);
-            break;
-          case Op::kRd: {
-            ReadRecord record;
-            record.bank = instr.bank;
-            record.row = dram.toLogical(
-                instr.bank,
-                dram.bankAt(instr.bank).openRow());
-            record.when = clock;
-            record.readout = rd(instr.bank);
-            result.reads.push_back(std::move(record));
-            break;
-          }
-          case Op::kRef:
-            ref();
-            break;
-          case Op::kWait:
-            wait(instr.waitNs);
-            break;
-          case Op::kWaitRef:
-            waitWithRefresh(instr.waitNs);
             break;
         }
     }

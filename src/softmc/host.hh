@@ -43,8 +43,8 @@ struct CompiledProgram;
 enum class ExecMode
 {
     /**
-     * Pre-compile programs into fused op streams and batch immediate-API
-     * hammer bursts through DramBank::applyActivationBurst (default).
+     * Pre-compile programs into fused op streams and fold immediate-API
+     * hammer bursts through DramModule::actInterleavedBurst (default).
      */
     kCompiled,
     /** One command at a time — the reference path (`--no-compile`). */
@@ -185,11 +185,12 @@ class SoftMcHost
     // --- program execution ---------------------------------------------
 
     /**
-     * Execute a recorded program, capturing reads. In kCompiled mode
-     * (and with no mitigation or fault injector attached — those need
-     * per-command hooks) the program is lowered by ProgramCompiler and
-     * run through the batched tier; otherwise it is interpreted one
-     * command at a time. Results are bit-identical either way.
+     * Execute a recorded program, capturing reads. The program is
+     * lowered by ProgramCompiler and run by executeCompiled(); it fuses
+     * only in kCompiled mode with no mitigation or fault injector
+     * attached (those hook individual commands), otherwise every
+     * instruction passes through one-to-one. Results are bit-identical
+     * either way.
      */
     ExecResult execute(const Program &program);
 
@@ -331,20 +332,41 @@ class SoftMcHost
     void applyMitigation(Bank bank, Row row);
     void hammerOnce(Bank bank, Row row);
     void checkWatchdog();
-    ExecResult executeInterpreted(const Program &program);
+    /** Throw StopRequested when the attached stop flag is set. */
+    void pollStopFlag() const
+    {
+        if (stopFlag != nullptr &&
+            stopFlag->load(std::memory_order_relaxed)) {
+            throw StopRequested(clock);
+        }
+    }
     /** True when a hammer burst of @p cycles can run fused: compiled
      *  mode, no per-command collaborators, and the watchdog provably
      *  cannot fire before the burst completes. */
     bool canBatchHammer(std::int64_t cycles) const;
 
     /**
-     * Cross-call ActPlan cache for the batched hammer paths. A plan
-     * stays valid while the module's planEpoch() is unchanged (no
-     * WR/wrWord, no snapshot restore — see DramModule::planEpoch), so
-     * repeated hammers of the same rows skip the address translation
-     * and per-row victim lookups entirely. Direct-mapped; a conflict
-     * just rebuilds. Only batched (compiled-tier) paths consult it —
-     * the interpreter path never does.
+     * The one hammer engine behind hammer() and hammerInterleaved():
+     * round-robin ACT+PRE cycles over @p n aggressors (a single-row
+     * burst is n = 1). When canBatchHammer() holds, the uniform
+     * min(count) rounds go to one DramModule::actInterleavedBurst()
+     * call; every other cycle is a hammerPlanned() or hammerOnce().
+     */
+    void hammerRoundRobin(const std::pair<Bank, Row> *rows,
+                          const int *counts, std::size_t n);
+    /** Cached plan of (bank, row), or one built as of @p first_act. */
+    const DramModule::ActPlan &hammerPlan(Bank bank, Row row,
+                                          Time first_act);
+    /** One batched ACT+PRE cycle from a valid plan. */
+    void hammerPlanned(const DramModule::ActPlan &plan, Bank bank, Row row);
+
+    /**
+     * Cross-call ActPlan cache for batched hammers. A plan stays valid
+     * while the module's planEpoch() is unchanged (no WR/wrWord, no
+     * snapshot restore — see DramModule::planEpoch), so repeated
+     * hammers of the same rows skip the address translation and
+     * per-row victim lookups entirely. Direct-mapped; a conflict just
+     * rebuilds. Only batched hammers consult it.
      */
     struct PlanCacheEntry
     {
@@ -356,8 +378,6 @@ class SoftMcHost
     static constexpr std::size_t kPlanCacheSlots = 64;
     /** Cache slot for (bank, logical row); entry may be stale/empty. */
     PlanCacheEntry &planSlotFor(Bank bank, Row row);
-    /** Valid cached plan or freshly built+cached one. */
-    const DramModule::ActPlan &cachedPlan(Bank bank, Row row);
 
     DramModule &dram;
     Timing timingParams;
@@ -373,6 +393,14 @@ class SoftMcHost
     CommandTrace cmdTrace;
     MetricsRegistry *metrics = nullptr;
     std::vector<PlanCacheEntry> planCache;
+    /**
+     * hammerRoundRobin's scratch (plans, cycles left), grown on demand:
+     * no call pays for allocating or default-initializing it, and
+     * hammer() never touches the heap.
+     */
+    static constexpr std::size_t kMaxScratchAggr = 16;
+    std::vector<DramModule::ActPlan> hammerPlans;
+    std::vector<int> hammerLeft;
 };
 
 } // namespace utrr

@@ -68,17 +68,6 @@ class TrrMechanism
     virtual void onActivate(Bank bank, Row phys_row) = 0;
 
     /**
-     * Observe @p count back-to-back ACTs of the same row with no other
-     * command in between (a fused hammer burst): the one-aggressor case
-     * of onActivateRoundRobin().
-     */
-    void
-    onActivateBurst(Bank bank, Row phys_row, int count)
-    {
-        onActivateRoundRobin(&bank, &phys_row, 1, count);
-    }
-
-    /**
      * Observe @p rounds round-robin passes over @p n aggressors — the
      * ACT sequence rows[0], rows[1], ..., rows[n-1] repeated @p rounds
      * times with no other command in between (a fused interleaved

@@ -58,6 +58,54 @@ TEST_F(HostFixture, HammerCycleTiming)
     EXPECT_EQ(host.actCount(), 100u);
 }
 
+TEST(HostWatchdog, HammerTiersAgreeAtTheLastActPollPoint)
+{
+    // The interpreter polls the watchdog after every ACT, never after a
+    // PRE. A budget ending exactly at the last ACT's poll point (start +
+    // (count-1)*hammerCycle + tRAS) fires in neither tier, one ns less
+    // fires in both — through hammer(), hammerInterleaved() and a
+    // program of ACT/PRE runs alike.
+    constexpr int kCount = 100;
+    Program program;
+    program.hammer(0, 10, kCount);
+    for (const ExecMode mode :
+         {ExecMode::kCompiled, ExecMode::kInterpreted}) {
+        for (const Time slack : {Time{0}, Time{-1}}) {
+            for (const std::string entry :
+                 {"hammer", "interleaved", "execute"}) {
+                SCOPED_TRACE(::testing::Message()
+                             << entry << " slack " << slack << " "
+                             << (mode == ExecMode::kCompiled
+                                     ? "compiled"
+                                     : "interpreted"));
+                DramModule module(smallSpec(), 1);
+                SoftMcHost host(module);
+                host.setExecMode(mode);
+                const Timing &t = host.timing();
+                host.setWatchdogBudget((kCount - 1) * t.hammerCycle() +
+                                       t.tRAS + slack);
+                const auto run = [&] {
+                    if (entry == "hammer")
+                        host.hammer(0, 10, kCount);
+                    else if (entry == "interleaved")
+                        host.hammerInterleaved({{0, 10}, {0, 12}},
+                                               {kCount / 2, kCount / 2});
+                    else
+                        host.execute(program);
+                };
+                if (slack == 0) {
+                    EXPECT_NO_THROW(run());
+                    EXPECT_EQ(host.now(), kCount * t.hammerCycle());
+                } else {
+                    EXPECT_THROW(run(), WatchdogTimeout);
+                }
+                EXPECT_EQ(host.actCount(),
+                          static_cast<std::uint64_t>(kCount));
+            }
+        }
+    }
+}
+
 TEST_F(HostFixture, WriteReadRoundTrip)
 {
     host.writeRow(0, 42, DataPattern::colStripe());

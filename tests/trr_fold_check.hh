@@ -2,9 +2,10 @@
  * @file
  * Randomized fold-vs-replay check shared by the vendor TRR tests.
  *
- * onActivateRoundRobin() and onActivateBurst() may fold their ACT
- * sequence (DESIGN.md §17); the contract is that the result equals
- * replaying onActivate() once per ACT in round-robin order. The check
+ * onActivateRoundRobin() may fold its ACT sequence (DESIGN.md §17);
+ * the contract is that the result equals replaying onActivate() once
+ * per ACT in round-robin order, for one aggressor (a single-row hammer
+ * burst) as for many. The check
  * drives a mechanism through random folded calls and REFs while a
  * clone() of it, attached to a ground-truth store of its own, receives
  * the same ACTs one onActivate() at a time, and compares the REF
@@ -104,7 +105,7 @@ checkFoldMatchesReplay(std::unique_ptr<TrrMechanism> folded,
                 static_cast<Bank>(rng.uniformInt(0, shape.banks - 1));
             const auto row =
                 static_cast<Row>(rng.uniformInt(0, shape.rowPool - 1));
-            folded->onActivateBurst(bank, row, rounds);
+            folded->onActivateRoundRobin(&bank, &row, 1, rounds);
             for (int k = 0; k < rounds; ++k)
                 replay->onActivate(bank, row);
         } else {
