@@ -194,8 +194,7 @@ DramBank::activatePlanned(const ActPlan &plan, Time now)
 }
 
 bool
-DramBank::interleavedRoundsFoldable(const ActPlan *const *plans,
-                                    const Time *first_times, int n,
+DramBank::interleavedRoundsFoldable(const ActPlan *const *plans, int n,
                                     Time round_gap) const
 {
     for (int i = 0; i < n; ++i) {
@@ -220,13 +219,7 @@ DramBank::interleavedRoundsFoldable(const ActPlan *const *plans,
                     bound += std::max(pv.wFirst, pv.wRepeat);
             }
         }
-        // The first restore comes first_times[i] - lastRefresh after
-        // the previous one, every later one round_gap after its
-        // predecessor.
-        const RowState &aggr = *plans[i]->aggr;
-        const Time gap =
-            std::max(round_gap, first_times[i] - aggr.lastRefresh());
-        if (!aggr.restoresFastForwardable(gap, bound))
+        if (!plans[i]->aggr->restoresFastForwardable(round_gap, bound))
             return false;
     }
     return true;
@@ -234,8 +227,7 @@ DramBank::interleavedRoundsFoldable(const ActPlan *const *plans,
 
 void
 DramBank::applyInterleavedRounds(const ActPlan *const *plans,
-                                 const Time *first_times, int n,
-                                 int rounds, Time round_gap)
+                                 const Time *last_times, int n, int rounds)
 {
     UTRR_ASSERT(open == kInvalidRow,
                 logFmt("ACT to bank ", id, " with row ", open,
@@ -293,8 +285,7 @@ DramBank::applyInterleavedRounds(const ActPlan *const *plans,
     // loop would leave them.
     for (int i = 0; i < n; ++i) {
         plans[i]->aggr->fastForwardRestores(
-            first_times[i] + static_cast<Time>(rounds - 1) * round_gap,
-            static_cast<std::uint64_t>(rounds));
+            last_times[i], static_cast<std::uint64_t>(rounds));
     }
     for (int i = 0; i < n; ++i) {
         for (int v = 0; v < plans[i]->victimCount; ++v) {

@@ -79,9 +79,14 @@ class DramBank
     /**
      * Build an activation plan for @p phys_row. The aggressor and its
      * victims must not change stored data while the plan is in use.
-     * Materializes any not-yet-touched victim rows at @p now — callers
-     * that need interpreter-exact materialization order must run the
-     * first activation through activate() and build the plan afterwards.
+     * Materializes any not-yet-touched rows at @p now, the aggressor
+     * first and then its victims in disturbNeighbours()' -1/+1/-2/+2
+     * order, so building the plans of a round-robin train in aggressor
+     * order, each at its first ACT's time, before that first ACT is
+     * value-identical to activate()'s own lookups: each row's VRT Rng
+     * is seeded from (bank, row), so materialization draws nothing
+     * shared, and storedWord0() reads only the pattern and overrides,
+     * never the charge.
      */
     ActPlan buildActPlan(Row phys_row, Time now);
 
@@ -97,32 +102,31 @@ class DramBank
     static constexpr int kMaxInterleavedFold = 8;
 
     /**
-     * True when round-robin ACT+PRE passes over the @p n planned
-     * aggressors (all in this bank, in global round order, one ACT each
-     * per pass, aggressor i first at @p first_times[i] and then every
-     * @p round_gap ns) can be applied as one fold by
+     * True when @p rounds round-robin ACT+PRE passes over the @p n
+     * planned aggressors (all in this bank, in global round order, one
+     * ACT each per pass, consecutive restores of the same aggressor
+     * @p round_gap ns apart) can be applied as one fold by
      * applyInterleavedRounds(): distinct aggressor rows, and every
-     * aggressor's restores — the first one included — provably
-     * fast-path even with the worst-case charge the other listed
-     * aggressors can pump into it per round. A single-row burst is the
-     * n = 1 case. Pure check — mutates nothing.
+     * aggressor's restores provably fast-path even with the worst-case
+     * charge the other listed aggressors can pump into it per round.
+     * A single-row burst is the n = 1 case. Pure check — mutates
+     * nothing.
      */
-    bool interleavedRoundsFoldable(const ActPlan *const *plans,
-                                   const Time *first_times, int n,
+    bool interleavedRoundsFoldable(const ActPlan *const *plans, int n,
                                    Time round_gap) const;
 
     /**
      * Apply @p rounds round-robin passes over the planned aggressors in
      * one call — bit-identical to the same actPlanned() loop. Victim
      * charge folds exactly in round order (addDisturbanceRoundRobin);
-     * each aggressor's restores collapse to one fast-forward at its
-     * final-pass ACT plus the surviving final-pass disturbances from
-     * later-in-round aggressors. The caller must have checked
-     * interleavedRoundsFoldable() with the same times.
+     * each aggressor's restores collapse to one fast-forward at
+     * @p last_times[i] (its final-pass ACT) plus the surviving
+     * final-pass disturbances from later-in-round aggressors. The
+     * caller must have checked interleavedRoundsFoldable().
      */
     void applyInterleavedRounds(const ActPlan *const *plans,
-                                const Time *first_times, int n,
-                                int rounds, Time round_gap);
+                                const Time *last_times, int n,
+                                int rounds);
 
     /** Write a whole-row pattern into the open row. */
     void writeOpenRow(const DataPattern &pattern, Row pattern_row,

@@ -118,7 +118,7 @@ DramModule::foldRounds(const ActPlan *plans, int n, int rounds, Time start,
     const Time round_gap = static_cast<Time>(n) * stride;
     DramBank *banks[kCap];
     const DramBank::ActPlan *groups[kCap][kCap];
-    Time firstTimes[kCap][kCap];
+    Time lastTimes[kCap][kCap];
     int groupSize[kCap] = {};
     int bankCount = 0;
     for (int i = 0; i < n; ++i) {
@@ -129,20 +129,23 @@ DramModule::foldRounds(const ActPlan *plans, int n, int rounds, Time start,
         if (g == bankCount)
             banks[bankCount++] = bank;
         groups[g][groupSize[g]] = &plans[i].bankPlan;
-        // This aggressor's first ACT lands at global slot i of the
-        // fused train.
-        firstTimes[g][groupSize[g]] = start + static_cast<Time>(i) * stride;
+        // This aggressor's final-pass ACT lands at global slot
+        // (rounds-1)*n + i of the fused train.
+        lastTimes[g][groupSize[g]] = start +
+            (static_cast<Time>(rounds - 1) * static_cast<Time>(n) +
+             static_cast<Time>(i)) *
+                stride;
         ++groupSize[g];
     }
     for (int g = 0; g < bankCount; ++g) {
-        if (!banks[g]->interleavedRoundsFoldable(
-                groups[g], firstTimes[g], groupSize[g], round_gap)) {
+        if (!banks[g]->interleavedRoundsFoldable(groups[g], groupSize[g],
+                                                 round_gap)) {
             return false;
         }
     }
     for (int g = 0; g < bankCount; ++g) {
-        banks[g]->applyInterleavedRounds(groups[g], firstTimes[g],
-                                         groupSize[g], rounds, round_gap);
+        banks[g]->applyInterleavedRounds(groups[g], lastTimes[g],
+                                         groupSize[g], rounds);
     }
     return true;
 }
@@ -155,9 +158,9 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                 "too many aggressors for one burst");
     if (n <= 0 || rounds <= 0)
         return;
+    // Per-cycle physics of rounds [from, to). TRR observation is
+    // separate (below).
     const Time round_gap = static_cast<Time>(n) * stride;
-    // Per-cycle physics of rounds [from, to) — what a declined fold
-    // replays. TRR observation is separate (below).
     const auto replay = [&](int from, int to) {
         for (int k = from; k < to; ++k) {
             for (int i = 0; i < n; ++i) {
@@ -168,14 +171,16 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
             }
         }
     };
-    bool folded = foldRounds(plans, n, rounds, start, stride);
-    if (!folded) {
-        // Typically an aggressor's first restore may commit flips (it
-        // has not been restored for long): run that round per cycle,
-        // then fold the rest.
-        replay(0, 1);
-        folded = rounds > 1 &&
-            foldRounds(plans, n, rounds - 1, start + round_gap, stride);
+    // The first round runs per cycle: an aggressor's first restore may
+    // come long after its previous one and commit flips. Every later
+    // restore is one round after its predecessor, so the remaining
+    // rounds fold when every bank proves them exact, else replay.
+    replay(0, 1);
+    if (rounds > 1) {
+        const bool folded = foldRounds(plans, n, rounds - 1,
+                                       start + round_gap, stride);
+        if (ctrFoldAccepted != nullptr)
+            (folded ? ctrFoldAccepted : ctrFoldDeclined)->inc();
         if (!folded)
             replay(1, rounds);
     }
@@ -190,7 +195,6 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
     }
     trr->onActivateRoundRobin(trrBanks, trrRows, n, rounds);
     if (ctrActs != nullptr) {
-        (folded ? ctrFoldAccepted : ctrFoldDeclined)->inc();
         ctrActs->inc(static_cast<std::uint64_t>(n) *
                      static_cast<std::uint64_t>(rounds));
         for (int i = 0; i < n; ++i) {

@@ -101,12 +101,12 @@ class DramModule
      * ns starting at @p start; a single-row burst is n = 1 (n is at
      * most DramBank::kMaxInterleavedFold).
      * Bit-identical to the matching actPlanned() loop (bank physics,
-     * TRR observation order, metrics). The physics folds when every
-     * bank's aggressors pass interleavedRoundsFoldable(), else after a
-     * first round run per cycle, else it replays per cycle; TRR
-     * observation always goes through onActivateRoundRobin(). Whether
-     * the physics folded is counted as dram.interleaved_fold.accepted
-     * / .declined.
+     * TRR observation order, metrics). The first round runs per cycle;
+     * the remaining rounds fold when every bank's aggressors pass
+     * interleavedRoundsFoldable(), else replay per cycle. TRR
+     * observation always goes through onActivateRoundRobin(). Each
+     * burst of two or more rounds counts whether its physics folded as
+     * dram.interleaved_fold.accepted / .declined.
      */
     void actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                              Time start, Time stride);
