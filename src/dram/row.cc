@@ -461,11 +461,18 @@ RowState::addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
         c += last == aggrs[i] ? w_repeat[i] : w_first[i];
         last = aggrs[i];
     }
+    lastAggressor = last;
+    if (m == 1) {
+        // A constant weight and pass length let the short live runs of
+        // single-row bursts compile to a plain add loop.
+        charge = foldPasses(c, 1, rounds - 1,
+                            [w = w_repeat[0]](int) { return w; });
+        return;
+    }
     charge = foldPasses(c, m, rounds - 1, [&](int i) {
         return aggrs[i == 0 ? m - 1 : i - 1] == aggrs[i] ? w_repeat[i]
                                                           : w_first[i];
     });
-    lastAggressor = last;
 }
 
 void
