@@ -51,8 +51,7 @@ StopRequested::StopRequested(Time now_ns)
 }
 
 SoftMcHost::SoftMcHost(DramModule &module, Timing timing)
-    : dram(module), timingParams(timing), planCache(kPlanCacheSlots),
-      hammerPlans(kMaxScratchAggr), hammerLeft(kMaxScratchAggr)
+    : dram(module), timingParams(timing), planCache(kPlanCacheSlots)
 {
 }
 

@@ -394,11 +394,9 @@ class SoftMcHost
     MetricsRegistry *metrics = nullptr;
     std::vector<PlanCacheEntry> planCache;
     /**
-     * hammerRoundRobin's scratch (plans, cycles left), grown on demand:
-     * no call pays for allocating or default-initializing it, and
-     * hammer() never touches the heap.
+     * hammerRoundRobin's scratch (plans, cycles left), grown on demand
+     * and kept: after its first call hammer() never touches the heap.
      */
-    static constexpr std::size_t kMaxScratchAggr = 16;
     std::vector<DramModule::ActPlan> hammerPlans;
     std::vector<int> hammerLeft;
 };
