@@ -102,10 +102,10 @@ class DramBank
     static constexpr int kMaxInterleavedFold = 8;
 
     /**
-     * True when @p rounds round-robin ACT+PRE passes over the @p n
-     * planned aggressors (all in this bank, in global round order, one
-     * ACT each per pass, consecutive restores of the same aggressor
-     * @p round_gap ns apart) can be applied as one fold by
+     * True when round-robin ACT+PRE passes over the @p n planned
+     * aggressors (all in this bank, in global round order, one ACT each
+     * per pass, consecutive restores of the same aggressor @p round_gap
+     * ns apart) can be applied as one fold by
      * applyInterleavedRounds(): distinct aggressor rows, and every
      * aggressor's restores provably fast-path even with the worst-case
      * charge the other listed aggressors can pump into it per round.
