@@ -124,6 +124,20 @@ ProgramFuzzer::generate(std::uint64_t seed, std::uint64_t index) const
         }
     };
 
+    // A precharged bank, drawn at random; closes the first open bank
+    // when none is precharged.
+    const auto close_one = [&] {
+        auto closed = closed_banks();
+        if (closed.empty()) {
+            const Bank victim = open_banks().front();
+            program.pre(victim);
+            open[static_cast<std::size_t>(victim)] = kInvalidRow;
+            closed.push_back(victim);
+        }
+        return closed[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(closed.size()) - 1))];
+    };
+
     // Prologue: seed the window with known data so decay and disturbance
     // have something observable to corrupt.
     std::set<std::pair<Bank, Row>> written;
@@ -139,6 +153,24 @@ ProgramFuzzer::generate(std::uint64_t seed, std::uint64_t index) const
     const int ops = static_cast<int>(
         rng.uniformInt(cfg.minOps, cfg.maxOps));
     for (int i = 0; i < ops; ++i) {
+        if (cfg.sweepChance > 0.0 && rng.chance(cfg.sweepChance)) {
+            const Bank bank = close_one();
+            const int rows =
+                static_cast<int>(rng.uniformInt(2, cfg.sweepRowsMax));
+            const Row first = static_cast<Row>(
+                row_lo + rng.uniformInt(0, cfg.rowSpan - rows));
+            if (rng.chance(0.5)) {
+                const DataPattern pattern = randomPattern(rng);
+                for (Row r = first; r < first + rows; ++r) {
+                    program.writeRow(bank, r, pattern);
+                    written.emplace(bank, r);
+                }
+            } else {
+                for (Row r = first; r < first + rows; ++r)
+                    program.readRow(bank, r);
+            }
+            continue;
+        }
         const FuzzOp op = pickOp(rng);
         switch (op) {
           case FuzzOp::kAct: {
@@ -203,16 +235,7 @@ ProgramFuzzer::generate(std::uint64_t seed, std::uint64_t index) const
             break;
           }
           case FuzzOp::kHammer: {
-            auto closed = closed_banks();
-            if (closed.empty()) {
-                const auto opened = open_banks();
-                const Bank victim = opened.front();
-                program.pre(victim);
-                open[static_cast<std::size_t>(victim)] = kInvalidRow;
-                closed.push_back(victim);
-            }
-            const Bank bank = closed[static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<int>(closed.size()) - 1))];
+            const Bank bank = close_one();
             program.hammer(
                 bank, pick_row(),
                 static_cast<int>(

@@ -1,6 +1,7 @@
 #include "core/retention_profiler.hh"
 
 #include "common/logging.hh"
+#include "core/row_scout.hh"
 
 namespace utrr
 {
@@ -25,17 +26,11 @@ RetentionProfiler::RetentionProfiler(SoftMcHost &host, Config config)
 std::vector<bool>
 RetentionProfiler::failingAt(Time t)
 {
-    const Row count = cfg.rowEnd - cfg.rowStart;
-    std::vector<bool> failing(static_cast<std::size_t>(count), false);
-    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r)
-        host.writeRow(cfg.bank, r, cfg.pattern);
-    host.wait(t);
-    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r) {
-        const int flips = host.readRow(cfg.bank, r)
-                              .countFlipsVs(cfg.pattern, r);
-        failing[static_cast<std::size_t>(r - cfg.rowStart)] =
-            flips > 0;
-    }
+    const std::vector<int> flips = retentionScan(
+        host, cfg.bank, cfg.rowStart, cfg.rowEnd, cfg.pattern, t);
+    std::vector<bool> failing(flips.size());
+    for (std::size_t i = 0; i < flips.size(); ++i)
+        failing[i] = flips[i] > 0;
     return failing;
 }
 

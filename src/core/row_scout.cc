@@ -1,7 +1,6 @@
 #include "core/row_scout.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "common/logging.hh"
 #include "obs/profiler.hh"
@@ -9,6 +8,15 @@
 
 namespace utrr
 {
+
+namespace
+{
+
+/** first_fail entry of a row that has not failed yet; reads as
+ *  ineligible at every T. */
+constexpr Time kNeverFailed = -1;
+
+} // namespace
 
 RowScout::RowScout(SoftMcHost &host, DiscoveredMapping mapping,
                    RowScoutConfig config)
@@ -20,24 +28,44 @@ RowScout::RowScout(SoftMcHost &host, DiscoveredMapping mapping,
     burnedPhys.insert(cfg.excludePhys.begin(), cfg.excludePhys.end());
 }
 
-std::map<Row, int>
-RowScout::scanFailingRows(Time t)
+std::vector<int>
+retentionScan(SoftMcHost &host, Bank bank, Row first, Row end,
+              const DataPattern &pattern, Time t)
 {
-    // Batch profiling pass: initialize every row in the range, let the
-    // whole range decay for t with refresh disabled, then read back.
+    // Initialize every row in the range, let the whole range decay for
+    // t with refresh disabled, then read back: one fused row pass per
+    // direction where the host allows it.
+    const int count = end - first;
+    host.writeRows(bank, first, count, pattern);
+    host.wait(t);
+    const std::vector<RowReadout> readouts =
+        host.readRows(bank, first, count);
+    std::vector<int> flips(readouts.size());
+    for (std::size_t i = 0; i < readouts.size(); ++i) {
+        flips[i] = readouts[i].countFlipsVs(pattern,
+                                            first + static_cast<Row>(i));
+    }
+    return flips;
+}
+
+std::vector<int>
+RowScout::scan(Time t)
+{
     UTRR_PROF_SCOPE_SIM("row_scout.scan", host.clockPtr());
     ScopedTimer timer(host.attachedMetrics(), "row_scout.scan");
     SimPhase phase(&host.trace(), "rs_scan", [this] { return host.now(); });
-    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r)
-        host.writeRow(cfg.bank, r, cfg.pattern);
-    host.wait(t);
+    return retentionScan(host, cfg.bank, cfg.rowStart, cfg.rowEnd,
+                         cfg.pattern, t);
+}
 
+std::map<Row, int>
+RowScout::scanFailingRows(Time t)
+{
+    const std::vector<int> flips = scan(t);
     std::map<Row, int> failing;
-    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r) {
-        const RowReadout readout = host.readRow(cfg.bank, r);
-        const int flips = readout.countFlipsVs(cfg.pattern, r);
-        if (flips > 0)
-            failing[r] = flips;
+    for (std::size_t i = 0; i < flips.size(); ++i) {
+        if (flips[i] > 0)
+            failing[cfg.rowStart + static_cast<Row>(i)] = flips[i];
     }
     return failing;
 }
@@ -71,30 +99,87 @@ RowScout::validateRetention(Row logical_row, Time t, int checks)
     return true;
 }
 
-std::vector<RowGroup>
-RowScout::formCandidateGroups(const std::map<Row, Time> &first_fail,
-                              Time t) const
+void
+RowScout::PhysRowSet::add(Row row)
+{
+    if (bits.empty())
+        lo = row;
+    if (row < lo) {
+        bits.insert(bits.begin(), static_cast<std::size_t>(lo - row), 0);
+        lo = row;
+    } else if (row - lo >= static_cast<Row>(bits.size())) {
+        bits.resize(static_cast<std::size_t>(row - lo) + 1, 0);
+    }
+    bits[static_cast<std::size_t>(row - lo)] = 1;
+}
+
+bool
+RowScout::PhysRowSet::overlaps(Row from, Row to) const
+{
+    for (Row row = from; row < to; ++row) {
+        if (has(row))
+            return true;
+    }
+    return false;
+}
+
+void
+RowScout::reserve(PhysRowSet &reserved, const RowGroup &group) const
+{
+    for (int d = 0; d < cfg.layout.span(); ++d)
+        reserved.add(group.basePhysRow + d);
+}
+
+bool
+RowScout::overlapsReserved(const PhysRowSet &reserved,
+                           const RowGroup &group) const
+{
+    return reserved.overlaps(
+        group.basePhysRow - cfg.groupSeparation,
+        group.basePhysRow + cfg.layout.span() + cfg.groupSeparation);
+}
+
+bool
+RowScout::isConsistent(const RowGroup &group, Time t)
+{
+    for (const ProfiledRow &row : group.rows) {
+        if (!validateRetention(row.logicalRow, t, cfg.consistencyChecks)) {
+            UTRR_DEBUG("row ", row.logicalRow, " failed consistency (VRT?)");
+            return false;
+        }
+    }
+    return true;
+}
+
+void
+RowScout::forEachCandidateGroup(
+    const std::vector<Time> &first_fail, Time t,
+    const std::function<bool(RowGroup &)> &visit) const
 {
     // Eligible rows: failed first in (t/2, t], so they hold for t/2 and
     // fail by t — exactly the side-channel requirement.
-    std::set<Row> eligible_phys;
-    for (const auto &[logical, fail_t] : first_fail) {
-        if (fail_t <= t / 2 || fail_t > t)
+    PhysRowSet eligible;
+    for (std::size_t i = 0; i < first_fail.size(); ++i) {
+        if (first_fail[i] <= t / 2 || first_fail[i] > t)
             continue;
+        const Row logical = cfg.rowStart + static_cast<Row>(i);
         if (mapping.isAnomalous(logical))
             continue;
         const Row phys = mapping.toPhysical(logical);
         if (burnedPhys.count(phys))
             continue; // evicted by re-validation; never trust it again
-        eligible_phys.insert(phys);
+        eligible.add(phys);
     }
 
-    std::vector<RowGroup> candidates;
+    // Candidates in ascending physical order of their base row, built
+    // only as far as the caller consumes them.
     const auto &offsets = cfg.layout.profiledOffsets();
-    for (Row base : eligible_phys) {
+    for (Row base = eligible.begin(); base < eligible.end(); ++base) {
+        if (!eligible.has(base))
+            continue;
         bool ok = true;
         for (int off : offsets) {
-            if (!eligible_phys.count(base + off)) {
+            if (!eligible.has(base + off)) {
                 ok = false;
                 break;
             }
@@ -127,9 +212,9 @@ RowScout::formCandidateGroups(const std::map<Row, Time> &first_fail,
             row.retention = t;
             group.rows.push_back(row);
         }
-        candidates.push_back(std::move(group));
+        if (visit(group))
+            return;
     }
-    return candidates;
 }
 
 std::vector<RowGroup>
@@ -138,7 +223,10 @@ RowScout::scout()
     // All returned groups must share one retention time T (paper §4.1:
     // "multiple rows that have the same retention times"), so every T
     // escalation restarts group selection from scratch (Fig. 6).
-    std::map<Row, Time> first_fail;
+    // first_fail[i]: the first scanned T at which row rowStart + i
+    // failed, kNeverFailed until then.
+    std::vector<Time> first_fail(
+        static_cast<std::size_t>(cfg.rowEnd - cfg.rowStart), kNeverFailed);
     std::vector<RowGroup> best;
 
     UTRR_PROF_SCOPE_SIM("row_scout.scout", host.clockPtr());
@@ -147,44 +235,23 @@ RowScout::scout()
                    [this] { return host.now(); });
     for (Time t = cfg.initialT; t <= cfg.maxT; t += cfg.stepT) {
         UTRR_DEBUG("row scout: scanning at T = ", nsToMs(t), " ms");
-        const std::map<Row, int> failing = scanFailingRows(t);
-        for (const auto &[row, flips] : failing) {
-            if (!first_fail.count(row))
-                first_fail[row] = t;
+        const std::vector<int> flips = scan(t);
+        for (std::size_t i = 0; i < flips.size(); ++i) {
+            if (flips[i] > 0 && first_fail[i] == kNeverFailed)
+                first_fail[i] = t;
         }
 
         std::vector<RowGroup> groups;
-        std::set<Row> reserved_phys;
-        auto overlaps_reserved = [&](const RowGroup &group) {
-            for (int d = -cfg.groupSeparation;
-                 d < cfg.layout.span() + cfg.groupSeparation; ++d) {
-                if (reserved_phys.count(group.basePhysRow + d))
-                    return true;
-            }
-            return false;
-        };
-
-        for (RowGroup &group : formCandidateGroups(first_fail, t)) {
-            if (overlaps_reserved(group))
-                continue;
-            bool consistent = true;
-            for (const ProfiledRow &row : group.rows) {
-                if (!validateRetention(row.logicalRow, t,
-                                       cfg.consistencyChecks)) {
-                    consistent = false;
-                    UTRR_DEBUG("row ", row.logicalRow,
-                               " failed consistency (VRT?)");
-                    break;
-                }
-            }
-            if (!consistent)
-                continue;
-            for (int d = 0; d < cfg.layout.span(); ++d)
-                reserved_phys.insert(group.basePhysRow + d);
+        PhysRowSet reserved;
+        forEachCandidateGroup(first_fail, t, [&](RowGroup &group) {
+            if (overlapsReserved(reserved, group) || !isConsistent(group, t))
+                return false;
+            reserve(reserved, group);
             groups.push_back(std::move(group));
-            if (static_cast<int>(groups.size()) >= cfg.groupCount)
-                return revalidateAndReplace(std::move(groups));
-        }
+            return static_cast<int>(groups.size()) >= cfg.groupCount;
+        });
+        if (static_cast<int>(groups.size()) >= cfg.groupCount)
+            return revalidateAndReplace(std::move(groups));
         if (groups.size() > best.size())
             best = std::move(groups);
     }
@@ -203,48 +270,29 @@ RowScout::scoutReplacements(const std::vector<RowGroup> &existing, Time t,
     // §4.1), so eligibility is rebuilt at exactly that T: one scan at
     // the hold point marks early failers ineligible, one scan at T
     // marks the rest eligible.
-    std::map<Row, Time> first_fail;
-    for (const auto &[row, flips] : scanFailingRows(t / 2))
-        first_fail[row] = t / 2;
-    for (const auto &[row, flips] : scanFailingRows(t)) {
-        if (!first_fail.count(row))
-            first_fail[row] = t;
+    std::vector<Time> first_fail(
+        static_cast<std::size_t>(cfg.rowEnd - cfg.rowStart), kNeverFailed);
+    const std::vector<int> early = scan(t / 2);
+    const std::vector<int> late = scan(t);
+    for (std::size_t i = 0; i < first_fail.size(); ++i) {
+        if (early[i] > 0)
+            first_fail[i] = t / 2;
+        else if (late[i] > 0)
+            first_fail[i] = t;
     }
 
-    std::set<Row> reserved_phys;
-    for (const RowGroup &group : existing) {
-        for (int d = 0; d < cfg.layout.span(); ++d)
-            reserved_phys.insert(group.basePhysRow + d);
-    }
-    auto overlaps_reserved = [&](const RowGroup &group) {
-        for (int d = -cfg.groupSeparation;
-             d < cfg.layout.span() + cfg.groupSeparation; ++d) {
-            if (reserved_phys.count(group.basePhysRow + d))
-                return true;
-        }
-        return false;
-    };
+    PhysRowSet reserved;
+    for (const RowGroup &group : existing)
+        reserve(reserved, group);
 
     std::vector<RowGroup> found;
-    for (RowGroup &group : formCandidateGroups(first_fail, t)) {
-        if (overlaps_reserved(group))
-            continue;
-        bool consistent = true;
-        for (const ProfiledRow &row : group.rows) {
-            if (!validateRetention(row.logicalRow, t,
-                                   cfg.consistencyChecks)) {
-                consistent = false;
-                break;
-            }
-        }
-        if (!consistent)
-            continue;
-        for (int d = 0; d < cfg.layout.span(); ++d)
-            reserved_phys.insert(group.basePhysRow + d);
+    forEachCandidateGroup(first_fail, t, [&](RowGroup &group) {
+        if (overlapsReserved(reserved, group) || !isConsistent(group, t))
+            return false;
+        reserve(reserved, group);
         found.push_back(std::move(group));
-        if (static_cast<int>(found.size()) >= needed)
-            break;
-    }
+        return static_cast<int>(found.size()) >= needed;
+    });
     return found;
 }
 

@@ -21,6 +21,8 @@
 #ifndef UTRR_CORE_ROW_SCOUT_HH
 #define UTRR_CORE_ROW_SCOUT_HH
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -80,6 +82,17 @@ struct RowScoutConfig
 };
 
 /**
+ * One retention scan of the logical rows [first, end) of @p bank: write
+ * @p pattern to every row, wait @p t with refresh paused, read every
+ * row back. Returns each row's flip count against @p pattern. The
+ * writes and reads go through SoftMcHost::writeRows/readRows, so each
+ * direction is one fused row pass where the host allows it.
+ */
+std::vector<int> retentionScan(SoftMcHost &host, Bank bank, Row first,
+                               Row end, const DataPattern &pattern,
+                               Time t);
+
+/**
  * Row Scout.
  */
 class RowScout
@@ -133,8 +146,47 @@ class RowScout
     ExperimentReport makeReport(const std::vector<RowGroup> &groups) const;
 
   private:
-    std::vector<RowGroup> formCandidateGroups(
-        const std::map<Row, Time> &first_fail, Time t) const;
+    /** Membership bitmap over physical rows; grows to cover what is
+     *  added, and rows outside it read as absent. */
+    class PhysRowSet
+    {
+      public:
+        void add(Row row);
+        bool has(Row row) const
+        {
+            return row >= lo && row - lo < static_cast<Row>(bits.size()) &&
+                bits[static_cast<std::size_t>(row - lo)] != 0;
+        }
+        /** True when any row of [from, to) is in the set. */
+        bool overlaps(Row from, Row to) const;
+        Row begin() const { return lo; }
+        Row end() const { return lo + static_cast<Row>(bits.size()); }
+
+      private:
+        Row lo = 0;
+        std::vector<std::uint8_t> bits;
+    };
+
+    /** retentionScan() of the configured range, profiled as
+     *  row_scout.scan. */
+    std::vector<int> scan(Time t);
+    /**
+     * Hand @p visit each candidate group at @p t — eligible rows (first
+     * failing in (t/2, t]) at the layout's offsets with usable gaps — in
+     * ascending physical order of its base row, until @p visit returns
+     * true. @p first_fail holds the first failing T per row of the
+     * range.
+     */
+    void forEachCandidateGroup(
+        const std::vector<Time> &first_fail, Time t,
+        const std::function<bool(RowGroup &)> &visit) const;
+    /** Mark the rows a group spans as taken. */
+    void reserve(PhysRowSet &reserved, const RowGroup &group) const;
+    /** True when a group comes within groupSeparation of a taken row. */
+    bool overlapsReserved(const PhysRowSet &reserved,
+                          const RowGroup &group) const;
+    /** validateRetention() of every row of @p group at @p t. */
+    bool isConsistent(const RowGroup &group, Time t);
     std::vector<RowGroup> scoutReplacements(
         const std::vector<RowGroup> &existing, Time t, int needed);
 

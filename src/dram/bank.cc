@@ -18,29 +18,27 @@ DramBank::DramBank(Bank id, Row phys_rows,
 }
 
 RowState &
-DramBank::rowAt(Row phys_row, Time now)
+DramBank::materialize(Row phys_row, Time now)
 {
     UTRR_ASSERT(phys_row >= 0 && phys_row < physRowCount,
                 logFmt("physical row ", phys_row, " out of range in bank ",
                        id));
-    std::int32_t &slot = slotOf[static_cast<std::size_t>(phys_row)];
-    if (slot < 0) {
-        // Materialize with retention physics only; hammer cells attach
-        // lazily once disturbance charge approaches the row's base
-        // threshold (they are ~30x larger to generate).
-        RowPhysics phys = gen->generateRetention(id, phys_row);
-        const auto &ret = gen->retentionConfig();
-        Rng vrt_rng = Rng(hashMix(
-            0x9e3779b9ULL ^ (static_cast<std::uint64_t>(id) << 44) ^
-            static_cast<std::uint64_t>(phys_row)));
-        slot = static_cast<std::int32_t>(states.size());
-        states.emplace_back(std::move(phys), now, vrt_rng, gen->rowBits(),
-                            msToNs(ret.vrtDwellMs), ret.vrtHighFactor);
-        states.back().attachPerf(&perfCounters);
-        if (baseRetentionScale != 1.0)
-            states.back().setRetentionScale(baseRetentionScale);
-    }
-    return states[static_cast<std::size_t>(slot)];
+    // Materialize with retention physics only; hammer cells attach
+    // lazily once disturbance charge approaches the row's base
+    // threshold (they are ~30x larger to generate).
+    RowPhysics phys = gen->generateRetention(id, phys_row);
+    const auto &ret = gen->retentionConfig();
+    Rng vrt_rng = Rng(hashMix(
+        0x9e3779b9ULL ^ (static_cast<std::uint64_t>(id) << 44) ^
+        static_cast<std::uint64_t>(phys_row)));
+    slotOf[static_cast<std::size_t>(phys_row)] =
+        static_cast<std::int32_t>(states.size());
+    states.emplace_back(std::move(phys), now, vrt_rng, gen->rowBits(),
+                        msToNs(ret.vrtDwellMs), ret.vrtHighFactor);
+    states.back().attachPerf(&perfCounters);
+    if (baseRetentionScale != 1.0)
+        states.back().setRetentionScale(baseRetentionScale);
+    return states.back();
 }
 
 void
@@ -96,12 +94,9 @@ DramBank::disturbOne(Row aggressor, std::uint64_t aggr_word0, Row victim,
 }
 
 void
-DramBank::disturbNeighbours(Row aggressor, Time now)
+DramBank::disturbNeighbours(Row aggressor, std::uint64_t word0, Time now)
 {
     const auto &ham = gen->hammerConfig();
-    // Pass the aggressor's coupling word by value: victim
-    // materialization must not rely on the aggressor reference.
-    const std::uint64_t word0 = rowAt(aggressor, now).storedWord0();
     if (ham.paired) {
         // Paired-row organization (C0-8): a row only disturbs its pair.
         disturbOne(aggressor, word0, aggressor ^ 1, 1.0, now);
@@ -129,7 +124,26 @@ DramBank::activate(Row phys_row, Time now)
     if (state.needsHammerCells())
         attachHammerCells(phys_row, state);
     state.restoreCharge(now);
-    disturbNeighbours(phys_row, now);
+    // The aggressor's coupling word goes by value: victim
+    // materialization must not rely on the aggressor reference.
+    disturbNeighbours(phys_row, state.storedWord0(), now);
+}
+
+void
+DramBank::writeCycle(Row phys_row, const DataPattern &pattern,
+                     Row pattern_row, Time act_now, Time wr_now)
+{
+    UTRR_ASSERT(open == kInvalidRow,
+                logFmt("ACT to bank ", id, " with row ", open,
+                       " still open"));
+    ++acts;
+    RowState &state = rowAt(phys_row, act_now);
+    if (state.needsHammerCells())
+        attachHammerCells(phys_row, state);
+    state.restoreBeforeOverwrite(act_now);
+    // Victims see the row's data as of the ACT, before the WR.
+    disturbNeighbours(phys_row, state.storedWord0(), act_now);
+    state.writePattern(pattern, pattern_row, wr_now);
 }
 
 void

@@ -128,6 +128,15 @@ class DramBank
                                 const Time *last_times, int n,
                                 int rounds);
 
+    /**
+     * One ACT + whole-row WR + PRE cycle of a precharged bank — the
+     * activate(), writeOpenRow(), precharge() sequence, ACT at
+     * @p act_now and WR at @p wr_now — with the ACT's restore skipping
+     * the flips the WR overwrites (RowState::restoreBeforeOverwrite).
+     */
+    void writeCycle(Row phys_row, const DataPattern &pattern,
+                    Row pattern_row, Time act_now, Time wr_now);
+
     /** Write a whole-row pattern into the open row. */
     void writeOpenRow(const DataPattern &pattern, Row pattern_row,
                       Time now);
@@ -157,7 +166,16 @@ class DramBank
     const RowState *peekRow(Row phys_row) const;
 
     /** Materialize (if needed) and return a row's state. */
-    RowState &rowAt(Row phys_row, Time now);
+    RowState &rowAt(Row phys_row, Time now)
+    {
+        if (phys_row >= 0 && phys_row < physRowCount) {
+            const std::int32_t slot =
+                slotOf[static_cast<std::size_t>(phys_row)];
+            if (slot >= 0)
+                return states[static_cast<std::size_t>(slot)];
+        }
+        return materialize(phys_row, now);
+    }
 
     /** Total ACT commands seen by this bank. */
     std::uint64_t actCount() const { return acts; }
@@ -219,7 +237,11 @@ class DramBank
     void restoreState(const Snapshot &snap);
 
   private:
-    void disturbNeighbours(Row aggressor, Time now);
+    /** rowAt()'s first touch: range check, then a fresh RowState. */
+    RowState &materialize(Row phys_row, Time now);
+    /** Disturb the neighbours of @p aggressor, whose stored word 0 is
+     *  @p word0. */
+    void disturbNeighbours(Row aggressor, std::uint64_t word0, Time now);
     void disturbOne(Row aggressor, std::uint64_t aggr_word0, Row victim,
                     double weight, Time now);
     /** Generate and attach hammer cells once charge demands them. */

@@ -1,5 +1,7 @@
 #include "dram/mapping.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace utrr
@@ -39,7 +41,8 @@ applyScramble(RowScramble scramble, Row row)
 
 RowMapping::RowMapping(RowScramble scramble, Row rows, int remap_count,
                        Rng rng, Row spare_rows)
-    : scramble(scramble), rowCount(rows), spareCount(spare_rows)
+    : scramble(scramble), rowCount(rows), spareCount(spare_rows),
+      remapped(static_cast<std::size_t>(std::max<Row>(rows, 0)), false)
 {
     UTRR_ASSERT(rows > 0, "need at least one row");
     UTRR_ASSERT(remap_count <= spare_rows,
@@ -56,6 +59,7 @@ RowMapping::RowMapping(RowScramble scramble, Row rows, int remap_count,
             continue;
         const Row spare = rowCount + placed;
         remaps[victim] = spare;
+        remapped[static_cast<std::size_t>(victim)] = true;
         reverseRemaps[spare] = victim;
         vacated[scrambleRow(victim)] = true;
         ++placed;
@@ -80,9 +84,8 @@ RowMapping::toPhysical(Row logical) const
 {
     UTRR_ASSERT(logical >= 0 && logical < rowCount,
                 logFmt("logical row ", logical, " out of range"));
-    const auto it = remaps.find(logical);
-    if (it != remaps.end())
-        return it->second;
+    if (remapped[static_cast<std::size_t>(logical)])
+        return remaps.at(logical);
     return scrambleRow(logical);
 }
 
@@ -103,7 +106,8 @@ RowMapping::toLogical(Row physical) const
 bool
 RowMapping::isRemapped(Row logical) const
 {
-    return remaps.count(logical) != 0;
+    return logical >= 0 && logical < rowCount &&
+        remapped[static_cast<std::size_t>(logical)];
 }
 
 } // namespace utrr

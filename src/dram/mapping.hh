@@ -19,6 +19,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -97,6 +98,9 @@ class RowMapping
     Row spareCount;
     /** logical -> spare physical */
     std::unordered_map<Row, Row> remaps;
+    /** remapped[logical]: the row is in `remaps` (spares the hash
+     *  lookup on every ACT of an unremapped row). */
+    std::vector<bool> remapped;
     /** spare physical -> logical */
     std::unordered_map<Row, Row> reverseRemaps;
     /** physical slots vacated by repair (toLogical -> invalid) */

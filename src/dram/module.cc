@@ -1,5 +1,6 @@
 #include "dram/module.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -212,6 +213,72 @@ DramModule::actPlanned(const ActPlan &plan, Time now)
     if (ctrActs != nullptr) {
         ctrActs->inc();
         ctrBankActs[static_cast<std::size_t>(plan.bank)]->inc();
+    }
+}
+
+void
+DramModule::writePass(Bank bank, Row first, int count,
+                      const DataPattern &pattern, Time start, Time stride,
+                      Time wr_delay)
+{
+    if (count <= 0)
+        return;
+    DramBank &b = bankAt(bank);
+    const RowMapping &map = mappings[static_cast<std::size_t>(bank)];
+    if (passRows.size() < static_cast<std::size_t>(count))
+        passRows.resize(static_cast<std::size_t>(count));
+    Time t = start;
+    for (int i = 0; i < count; ++i, t += stride) {
+        const Row phys = map.toPhysical(first + i);
+        passRows[static_cast<std::size_t>(i)] = phys;
+        b.writeCycle(phys, pattern, first + i, t, t + wr_delay);
+    }
+    observePass(bank, count);
+    ++planEpochV; // stored words changed: cached plan weights are stale
+}
+
+void
+DramModule::readPass(Bank bank, Row first, int count, Time start,
+                     Time stride, RowReadout *out)
+{
+    if (count <= 0)
+        return;
+    DramBank &b = bankAt(bank);
+    const RowMapping &map = mappings[static_cast<std::size_t>(bank)];
+    if (passRows.size() < static_cast<std::size_t>(count))
+        passRows.resize(static_cast<std::size_t>(count));
+    std::uint64_t flip_bits = 0;
+    Time t = start;
+    for (int i = 0; i < count; ++i, t += stride) {
+        const Row phys = map.toPhysical(first + i);
+        passRows[static_cast<std::size_t>(i)] = phys;
+        b.activate(phys, t);
+        out[i] = b.readOpenRow();
+        flip_bits += out[i].rawFlips().size();
+        b.precharge(t);
+    }
+#ifdef UTRR_MUTATION_READ_PASS_TRR
+    // Planted bug for CI mutation-sanity: TRR never sees the pass's
+    // last ACT. The execution oracle must catch this.
+    if (count > 1)
+        --count;
+#endif
+    observePass(bank, count);
+    if (ctrReadFlipBits != nullptr)
+        ctrReadFlipBits->inc(flip_bits);
+}
+
+void
+DramModule::observePass(Bank bank, int count)
+{
+    if (passBanks.size() < static_cast<std::size_t>(count))
+        passBanks.resize(static_cast<std::size_t>(count));
+    std::fill_n(passBanks.begin(), count, bank);
+    trr->onActivateRoundRobin(passBanks.data(), passRows.data(), count, 1);
+    if (ctrActs != nullptr) {
+        ctrActs->inc(static_cast<std::uint64_t>(count));
+        ctrBankActs[static_cast<std::size_t>(bank)]->inc(
+            static_cast<std::uint64_t>(count));
     }
 }
 

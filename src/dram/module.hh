@@ -111,6 +111,27 @@ class DramModule
     void actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                              Time start, Time stride);
 
+    // ------------------------------------------------------------------
+    // Row passes (DESIGN.md §17, "Fused row passes"). One call replays
+    // @p count ACT+access+PRE cycles over the consecutive logical rows
+    // [first, first + count) of one precharged bank, row i's ACT at
+    // start + i * stride. Bit-identical to the matching act()/wr()/rd()/
+    // pre() loop: the per-row bank physics run in command order, and
+    // TRR observes the whole ACT sequence in one onActivateRoundRobin()
+    // call (TRR never reads bank charge, the bank never reads TRR
+    // between REFs). Counters are bumped in bulk.
+    // ------------------------------------------------------------------
+
+    /** Write pass: each row's WR of @p pattern lands @p wr_delay ns
+     *  after its ACT. */
+    void writePass(Bank bank, Row first, int count,
+                   const DataPattern &pattern, Time start, Time stride,
+                   Time wr_delay);
+
+    /** Read pass: row i's readout goes to @p out[i]. */
+    void readPass(Bank bank, Row first, int count, Time start, Time stride,
+                  RowReadout *out);
+
     /**
      * Monotonic counter that advances whenever a cached ActPlan could
      * go stale: a WR/wrWord lands (stored coupling words feed the
@@ -260,6 +281,9 @@ class DramModule
     bool foldRounds(const ActPlan *plans, int n, int rounds, Time start,
                     Time stride);
     std::vector<Row> victimRowsOf(Row aggressor_phys) const;
+    /** TRR observation and ACT counters of a row pass over the physical
+     *  rows passRows[0, count) of @p bank. */
+    void observePass(Bank bank, int count);
     Counter &gtVictimCounter(Bank bank, Row phys_row);
 
     ModuleSpec moduleSpec;
@@ -275,6 +299,9 @@ class DramModule
     std::uint64_t masterSeed = 0;
     /** See planEpoch(). */
     std::uint64_t planEpochV = 1;
+    /** Row passes' TRR arguments, grown on demand and kept. */
+    std::vector<Bank> passBanks;
+    std::vector<Row> passRows;
 
     GroundTruthStore gtStore;
     Counter *gtTrrEvents = nullptr;

@@ -27,7 +27,8 @@ RowPhysics::minHammerThreshold() const
 PhysicsGenerator::PhysicsGenerator(RetentionModelConfig ret_cfg,
                                    HammerModelConfig ham_cfg,
                                    std::uint64_t module_seed, int row_bits)
-    : retCfg(ret_cfg), hamCfg(ham_cfg), seed(module_seed), bits(row_bits)
+    : retCfg(ret_cfg), tempScaleV(retCfg.tempScale()), hamCfg(ham_cfg),
+      seed(module_seed), bits(row_bits)
 {
     UTRR_ASSERT(bits > 0 && bits % 64 == 0, "row bits must be 64-aligned");
 }
@@ -44,7 +45,7 @@ PhysicsGenerator::rowRng(Bank bank, Row phys_row) const
 void
 PhysicsGenerator::fillRetention(RowPhysics &phys, Rng &rng) const
 {
-    const double scale = retCfg.tempScale();
+    const double scale = tempScaleV;
     const bool weak = rng.chance(retCfg.weakRowFraction);
 
     double base_ms;

@@ -198,6 +198,8 @@ class PhysicsGenerator
     Rng rowRng(Bank bank, Row phys_row) const;
 
     RetentionModelConfig retCfg;
+    /** retCfg.tempScale(), a std::pow, evaluated once. */
+    double tempScaleV;
     HammerModelConfig hamCfg;
     std::uint64_t seed;
     int bits;

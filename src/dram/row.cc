@@ -258,6 +258,7 @@ RowState::RowState(RowPhysics physics, Time now, Rng vrt_rng, int row_bits,
       lastVrtCheck(now), vrtDwell(vrt_dwell),
       vrtHighFactor(vrt_high_factor), bits(row_bits)
 {
+    word0 = pattern.word(patRow, 0);
     for (const WeakCell &cell : phys.weakCells)
         vrtRow = vrtRow || cell.vrt;
     weakSorted = std::is_sorted(
@@ -377,8 +378,9 @@ RowState::commitFlip(Col col)
         f.insert(it, col);
 }
 
+template <typename Commit>
 void
-RowState::commitDueFlips(Time now)
+RowState::forEachDueFlip(Time now, Commit commit)
 {
     const Time elapsed = now - lastRestore;
 
@@ -394,7 +396,7 @@ RowState::commitDueFlips(Time now)
         }
         if (storedBit(cell.col) != cell.chargedValue)
             continue; // already in the discharged state
-        commitFlip(cell.col);
+        commit(cell.col);
     }
 
     // RowHammer failures: cells whose threshold has been crossed by the
@@ -405,8 +407,28 @@ RowState::commitDueFlips(Time now)
             break;
         if (storedBit(cell.col) != cell.chargedValue)
             continue;
-        commitFlip(cell.col);
+        commit(cell.col);
     }
+}
+
+template <typename Commit>
+void
+RowState::restoreWith(Time now, Commit commit)
+{
+    UTRR_ASSERT(hammerAttached || charge < phys.hammerBaseThreshold,
+                "hammer cells must be attached before a restore that "
+                "crosses the row's base threshold");
+    if (canSkipCommit(now)) {
+        if (perf != nullptr)
+            ++perf->restoreFastPath;
+    } else {
+        if (perf != nullptr)
+            ++perf->restoreSlowPath;
+        forEachDueFlip(now, commit);
+    }
+    lastRestore = now;
+    charge = 0.0;
+    lastAggressor = kInvalidRow;
 }
 
 bool
@@ -420,20 +442,20 @@ RowState::canSkipCommit(Time now) const
 void
 RowState::restoreCharge(Time now)
 {
-    UTRR_ASSERT(hammerAttached || charge < phys.hammerBaseThreshold,
-                "hammer cells must be attached before a restore that "
-                "crosses the row's base threshold");
-    if (canSkipCommit(now)) {
-        if (perf != nullptr)
-            ++perf->restoreFastPath;
-    } else {
-        if (perf != nullptr)
-            ++perf->restoreSlowPath;
-        commitDueFlips(now);
-    }
-    lastRestore = now;
-    charge = 0.0;
-    lastAggressor = kInvalidRow;
+    restoreWith(now, [this](Col col) { commitFlip(col); });
+}
+
+void
+RowState::restoreBeforeOverwrite(Time now)
+{
+    // The flips a commit would add die in the next writePattern(); what
+    // outlives them is each VRT draw, the slow-path tally and the one
+    // copy-on-write clone the first commit makes of a flip list a live
+    // readout or snapshot still shares.
+    bool commits = false;
+    restoreWith(now, [&commits](Col) { commits = true; });
+    if (commits && flips && flips.use_count() > 1 && perf != nullptr)
+        ++perf->readoutCowCopies;
 }
 
 void
@@ -491,6 +513,7 @@ RowState::writePattern(const DataPattern &new_pattern, Row pattern_row,
 {
     pattern = new_pattern;
     patRow = pattern_row;
+    word0 = pattern.word(patRow, 0);
     overrides.reset();
     flips.reset();
     lastRestore = now;
@@ -500,6 +523,8 @@ void
 RowState::writeWord(int word_idx, std::uint64_t value)
 {
     mutableOverrides()[word_idx] = value;
+    if (word_idx == 0)
+        word0 = value;
     // Writing a word recharges exactly its cells: drop flips within it.
     if (!flips || flips->empty())
         return;
@@ -519,17 +544,6 @@ RowState::read() const
     if (perf != nullptr)
         ++perf->readoutShares;
     return RowReadout(pattern, patRow, overrides, flips, bits);
-}
-
-std::uint64_t
-RowState::storedWord0() const
-{
-    if (overrides) {
-        const auto it = overrides->find(0);
-        if (it != overrides->end())
-            return it->second;
-    }
-    return pattern.word(patRow, 0);
 }
 
 void

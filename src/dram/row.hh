@@ -58,7 +58,7 @@ struct RowPerfCounters
 {
     /** restoreCharge() calls that skipped the cell scan entirely. */
     std::uint64_t restoreFastPath = 0;
-    /** restoreCharge() calls that ran commitDueFlips(). */
+    /** restoreCharge() calls that scanned for due flips. */
     std::uint64_t restoreSlowPath = 0;
     /** Lazy hammer-cell generations (the deferred cold path). */
     std::uint64_t hammerCellAttaches = 0;
@@ -168,6 +168,16 @@ class RowState
     /** Restore charge (ACT or REF): commit due flips, reset charge. */
     void restoreCharge(Time now);
 
+    /**
+     * restoreCharge() for the ACT of a write cycle, whose WR rewrites
+     * the whole row (writePattern) before anything reads it: the flips
+     * the restore would commit are discarded unread, so they are never
+     * built. Everything else the restore leaves is the same — VRT
+     * draws, the fast/slow and copy-on-write tallies, the reset charge.
+     * The caller must writePattern() next.
+     */
+    void restoreBeforeOverwrite(Time now);
+
     /** Record disturbance from an aggressor ACT. */
     void addDisturbance(Row aggressor_phys, double charge);
 
@@ -222,8 +232,11 @@ class RowState
     /** Row address the pattern was evaluated at. */
     Row patternRow() const { return patRow; }
 
-    /** First stored word; used for cheap aggressor-data coupling. */
-    std::uint64_t storedWord0() const;
+    /**
+     * First stored word; used for cheap aggressor-data coupling. Cached:
+     * every ACT reads it for the aggressor and each victim.
+     */
+    std::uint64_t storedWord0() const { return word0; }
 
     /** Accumulated, uncommitted disturbance charge (units). */
     double hammerCharge() const { return charge; }
@@ -284,7 +297,13 @@ class RowState
   private:
     bool storedBit(Col col) const;
     Time effectiveRetention(const WeakCell &cell, Time now);
-    void commitDueFlips(Time now);
+    /** Hand @p commit each cell due to flip at @p now whose stored bit
+     *  still holds its charge. */
+    template <typename Commit>
+    void forEachDueFlip(Time now, Commit commit);
+    /** A restore at @p now whose due flips go to @p commit. */
+    template <typename Commit>
+    void restoreWith(Time now, Commit commit);
     void commitFlip(Col col);
     bool canSkipCommit(Time now) const;
     void refreshMinRetention();
@@ -296,6 +315,8 @@ class RowState
     RowPhysics phys;
     DataPattern pattern = DataPattern::allZeros();
     Row patRow = 0;
+    /** Word 0 as stored: its override if any, else the pattern's. */
+    std::uint64_t word0 = 0;
     /** Null means empty; shared with readouts, copy-on-write. */
     std::shared_ptr<std::unordered_map<int, std::uint64_t>> overrides;
     /** Sorted columns; null means empty; shared, copy-on-write. */

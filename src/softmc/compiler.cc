@@ -65,31 +65,38 @@ ProgramCompiler::compile(const Program &program, bool fuse)
                 continue;
             }
 
-            // [ACT, WR, PRE] / [ACT, RD, PRE] on one bank fuse into a
-            // single whole-row access op.
+            // A run of [ACT, WR, PRE] / [ACT, RD, PRE] triples over
+            // consecutive rows of one bank (one pattern for writes)
+            // fuses into a single row-pass op carrying the count.
             if (i + 2 < n && b.bank == a.bank &&
+                (b.op == Op::kWr || b.op == Op::kRd) &&
                 ins[i + 2].op == Op::kPre && ins[i + 2].bank == a.bank) {
+                int count = 0;
+                std::size_t j = i;
+                while (j + 2 < n && ins[j].op == Op::kAct &&
+                       ins[j].bank == a.bank &&
+                       ins[j].row == a.row + count &&
+                       ins[j + 1].op == b.op && ins[j + 1].bank == a.bank &&
+                       (b.op == Op::kRd || ins[j + 1].pattern == b.pattern) &&
+                       ins[j + 2].op == Op::kPre &&
+                       ins[j + 2].bank == a.bank) {
+                    ++count;
+                    j += 3;
+                }
+                CompiledOp op;
+                op.bank = a.bank;
+                op.row = a.row;
+                op.count = count;
                 if (b.op == Op::kWr) {
-                    CompiledOp op;
                     op.kind = CompiledOpKind::kWriteRow;
-                    op.bank = a.bank;
-                    op.row = a.row;
-                    op.patternIdx =
-                        internPattern(out.patterns, b.pattern);
-                    out.ops.push_back(op);
-                    i += 3;
-                    continue;
-                }
-                if (b.op == Op::kRd) {
-                    CompiledOp op;
+                    op.patternIdx = internPattern(out.patterns, b.pattern);
+                } else {
                     op.kind = CompiledOpKind::kReadRow;
-                    op.bank = a.bank;
-                    op.row = a.row;
-                    out.ops.push_back(op);
-                    ++out.readCount;
-                    i += 3;
-                    continue;
+                    out.readCount += static_cast<std::size_t>(count);
                 }
+                out.ops.push_back(op);
+                i = j;
+                continue;
             }
         }
 

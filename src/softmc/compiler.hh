@@ -34,8 +34,8 @@ namespace utrr
 enum class CompiledOpKind : std::uint8_t
 {
     kHammer,   // `count` ACT+PRE cycles of (bank, row)
-    kWriteRow, // ACT + whole-row WR + PRE
-    kReadRow,  // ACT + RD capture + PRE
+    kWriteRow, // `count` ACT + whole-row WR + PRE over rows row, row+1, ...
+    kReadRow,  // `count` ACT + RD capture + PRE over rows row, row+1, ...
     kRefBurst, // `count` back-to-back REFs
     // Pass-through ops for everything the compiler leaves alone.
     kAct,
@@ -57,7 +57,8 @@ struct CompiledOp
     CompiledOpKind kind = CompiledOpKind::kWait;
     Bank bank = 0;
     Row row = kInvalidRow;
-    /** Repeat count for kHammer / kRefBurst. */
+    /** Repeat count for kHammer / kRefBurst; row count for kWriteRow /
+     *  kReadRow. */
     int count = 0;
     /** Index into CompiledProgram::patterns for kWriteRow / kWr. */
     int patternIdx = -1;

@@ -338,20 +338,70 @@ SoftMcHost::hammerOnce(Bank bank, Row row)
 }
 
 bool
-SoftMcHost::canBatchHammer(std::int64_t cycles) const
+SoftMcHost::canBatch(std::int64_t cycles, Time cycle_ns) const
 {
     if (execModeV != ExecMode::kCompiled || mitigation != nullptr ||
         fault != nullptr || cycles <= 1) {
         return false;
     }
     // The per-command watchdog fires after the ACT that crosses the
-    // deadline (mid-burst, with the bank left open); if any ACT of this
-    // burst could cross it, run the exact per-cycle path instead. The
-    // last ACT's poll point is at start + (cycles-1)*hammerCycle + tRAS.
+    // deadline (mid-run, with the bank left open); if any ACT of this
+    // run could cross it, run the exact per-cycle path instead. The
+    // last ACT's poll point is at start + (cycles-1)*cycle_ns + tRAS.
     return wdDeadline < 0 ||
-        clock + (cycles - 1) * timingParams.hammerCycle() +
-                timingParams.tRAS <=
-            wdDeadline;
+        clock + (cycles - 1) * cycle_ns + timingParams.tRAS <= wdDeadline;
+}
+
+void
+SoftMcHost::recordRowPass(Bank bank, Row first, int count,
+                          TraceKind access, Time start)
+{
+    if (!cmdTrace.enabled())
+        return;
+    const Timing &t = timingParams;
+    Time at = start;
+    for (int i = 0; i < count; ++i, at += rowCycle()) {
+        cmdTrace.record(TraceKind::kAct, bank, first + i, at, t.tRAS);
+        cmdTrace.record(access, bank, kInvalidRow, at + t.tRAS, t.tBURST);
+        cmdTrace.record(TraceKind::kPre, bank, kInvalidRow,
+                        at + t.tRAS + t.tBURST, t.tRP);
+    }
+}
+
+void
+SoftMcHost::writeRows(Bank bank, Row first, int count,
+                      const DataPattern &pattern)
+{
+    if (!canBatch(count, rowCycle())) {
+        for (int i = 0; i < count; ++i)
+            writeRow(bank, first + i, pattern);
+        return;
+    }
+    dram.writePass(bank, first, count, pattern, clock, rowCycle(),
+                   timingParams.tRAS);
+    recordRowPass(bank, first, count, TraceKind::kWr, clock);
+    clock += static_cast<Time>(count) * rowCycle();
+    acts += static_cast<std::uint64_t>(count);
+    // The fused pass polls cancellation once instead of per ACT.
+    pollStopFlag();
+}
+
+std::vector<RowReadout>
+SoftMcHost::readRows(Bank bank, Row first, int count)
+{
+    std::vector<RowReadout> readouts(
+        static_cast<std::size_t>(std::max(count, 0)));
+    if (!canBatch(count, rowCycle())) {
+        for (int i = 0; i < count; ++i)
+            readouts[static_cast<std::size_t>(i)] = readRow(bank, first + i);
+        return readouts;
+    }
+    dram.readPass(bank, first, count, clock, rowCycle(), readouts.data());
+    recordRowPass(bank, first, count, TraceKind::kRd, clock);
+    clock += static_cast<Time>(count) * rowCycle();
+    acts += static_cast<std::uint64_t>(count);
+    pollStopFlag();
+    return readouts;
 }
 
 void
@@ -378,7 +428,7 @@ SoftMcHost::hammerPlanned(const DramModule::ActPlan &plan, Bank bank,
                           Row row)
 {
     // act()+pre() minus the lookups and the watchdog poll, which
-    // canBatchHammer pre-checked for the whole run.
+    // canBatch pre-checked for the whole run.
     dram.actPlanned(plan, clock);
     cmdTrace.record(TraceKind::kAct, bank, row, clock, timingParams.tRAS);
     clock += timingParams.tRAS;
@@ -416,7 +466,7 @@ SoftMcHost::hammerRoundRobin(const std::pair<Bank, Row> *rows,
         total += std::max(counts[i], 0);
         cmin = std::min(cmin, counts[i]);
     }
-    const bool batch = canBatchHammer(total);
+    const bool batch = canBatch(total, timingParams.hammerCycle());
 
     if (hammerLeft.size() < n) {
         hammerPlans.resize(n);
@@ -563,16 +613,23 @@ SoftMcHost::executeCompiled(const CompiledProgram &compiled)
             hammer(op.bank, op.row, op.count);
             break;
           case CompiledOpKind::kWriteRow:
-            act(op.bank, op.row);
-            wr(op.bank, compiled.patterns[static_cast<std::size_t>(
-                            op.patternIdx)]);
-            pre(op.bank);
+            writeRows(op.bank, op.row, op.count,
+                      compiled.patterns[static_cast<std::size_t>(
+                          op.patternIdx)]);
             break;
-          case CompiledOpKind::kReadRow:
-            act(op.bank, op.row);
-            capture(op.bank);
-            pre(op.bank);
+          case CompiledOpKind::kReadRow: {
+            // Row i's RD lands tRAS after its ACT, one row cycle apart.
+            const Time first_rd = clock + timingParams.tRAS;
+            std::vector<RowReadout> readouts =
+                readRows(op.bank, op.row, op.count);
+            for (int i = 0; i < op.count; ++i) {
+                result.reads.push_back(
+                    {op.bank, op.row + i,
+                     first_rd + static_cast<Time>(i) * rowCycle(),
+                     std::move(readouts[static_cast<std::size_t>(i)])});
+            }
             break;
+          }
           case CompiledOpKind::kRefBurst:
             for (int i = 0; i < op.count; ++i)
                 ref();

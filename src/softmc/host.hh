@@ -156,6 +156,17 @@ class SoftMcHost
     /** ACT + RD + PRE. */
     RowReadout readRow(Bank bank, Row row);
 
+    /**
+     * writeRow() of @p pattern over the consecutive rows [first, first +
+     * count) of @p bank, as one DramModule::writePass() when
+     * canBatch() holds, else row by row. Bit-identical either way.
+     */
+    void writeRows(Bank bank, Row first, int count,
+                   const DataPattern &pattern);
+
+    /** readRow() over [first, first + count); one readout per row. */
+    std::vector<RowReadout> readRows(Bank bank, Row first, int count);
+
     /** `count` ACT+PRE cycles on one row. */
     void hammer(Bank bank, Row row, int count);
 
@@ -340,15 +351,25 @@ class SoftMcHost
             throw StopRequested(clock);
         }
     }
-    /** True when a hammer burst of @p cycles can run fused: compiled
+    /** True when @p cycles commands cycles, each @p cycle_ns long and
+     *  polling the watchdog after its ACT, can run fused: compiled
      *  mode, no per-command collaborators, and the watchdog provably
-     *  cannot fire before the burst completes. */
-    bool canBatchHammer(std::int64_t cycles) const;
+     *  cannot fire before the last one completes. */
+    bool canBatch(std::int64_t cycles, Time cycle_ns) const;
+    /** One ACT + WR/RD + PRE row access. */
+    Time rowCycle() const
+    {
+        return timingParams.tRAS + timingParams.tBURST + timingParams.tRP;
+    }
+    /** Trace records of a fused row pass from @p start (no-op while the
+     *  trace is disabled). */
+    void recordRowPass(Bank bank, Row first, int count, TraceKind access,
+                       Time start);
 
     /**
      * The one hammer engine behind hammer() and hammerInterleaved():
      * round-robin ACT+PRE cycles over @p n aggressors (a single-row
-     * burst is n = 1). When canBatchHammer() holds, the uniform
+     * burst is n = 1). When canBatch() holds, the uniform
      * min(count) rounds go to one DramModule::actInterleavedBurst()
      * call; every other cycle is a hammerPlanned() or hammerOnce().
      */

@@ -7,7 +7,8 @@
  * tier-equivalence property at random snapshot boundaries, and the
  * mutation sanity checks (the oracle suite must catch the
  * compile-time-flagged off-by-one refresh and hammer-fusion bugs
- * within a bounded number of programs).
+ * within a bounded number of programs, and a fused read pass that
+ * hides its last ACT from TRR).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "dram/module.hh"
 #include "dram/module_spec.hh"
 #include "softmc/assembler.hh"
+#include "softmc/compiler.hh"
 #include "softmc/host.hh"
 
 namespace utrr
@@ -119,6 +121,38 @@ TEST(Oracles, CleanSweepAcrossVendors)
             << (result.findings.empty() ? "?"
                                         : result.findings[0].detail);
     }
+}
+
+TEST(Oracles, CleanSweepWithRowSweeps)
+{
+    // Consecutive-row write and read sweeps lower to kWriteRow/kReadRow
+    // runs, which the compiled tier executes as fused row passes; every
+    // oracle — the execution oracle's fused-vs-unfused rerun included —
+    // must stay silent, on one module of each vendor.
+    FuzzConfig fuzz;
+    fuzz.sweepChance = 0.3;
+    std::size_t write_runs = 0;
+    std::size_t read_runs = 0;
+    for (const char *name : {"A0", "B0", "C0"}) {
+        const ModuleSpec spec = *findModuleSpec(name);
+        const ProgramFuzzer fuzzer(spec, fuzz);
+        for (std::uint64_t i = 0; i < 6; ++i) {
+            const Program program = fuzzer.generate(99, i);
+            ASSERT_TRUE(validateProgram(spec, program).empty());
+            for (const CompiledOp &op :
+                 ProgramCompiler::compile(program).ops) {
+                if (op.count > 1) {
+                    write_runs += op.kind == CompiledOpKind::kWriteRow;
+                    read_runs += op.kind == CompiledOpKind::kReadRow;
+                }
+            }
+            const OracleReport report = runOracleSuite(spec, program);
+            EXPECT_TRUE(report.clean())
+                << name << " program " << i << ": " << report.summary();
+        }
+    }
+    EXPECT_GT(write_runs, 0u);
+    EXPECT_GT(read_runs, 0u);
 }
 
 TEST(Oracles, ReportsHashesAndReads)
@@ -383,6 +417,87 @@ TEST(MutationSanity, ExecutionOracleCatchesFusionOffByOne)
         execution_caught = execution_caught || v.oracle == "execution";
     EXPECT_TRUE(execution_caught)
         << "execution oracle missed the planted fusion bug: "
+        << report.summary();
+#else
+    EXPECT_TRUE(report.clean()) << report.summary();
+#endif
+}
+
+
+/**
+ * Mutation sanity for the fused read pass: UTRR_MUTATION also plants a
+ * DramModule::readPass that hides its last ACT from TRR. The program
+ * makes that ACT decide which aggressor vendor A's first TREF_a picks
+ * — counts Y-1:2, Y:3 in truth but a tie, which goes to Y-1, under the
+ * mutant — and W, a retention-weak victim of Y only, decays at the
+ * final read unless that TREF_a refreshed it. Only the read pass
+ * differs between the tiers (every hammer is a single cycle, so the
+ * fusion mutant stays dormant, and both tiers share the refresh
+ * mutant), so the execution oracle must fire.
+ */
+TEST(MutationSanity, ExecutionOracleCatchesReadPassHidingAnAct)
+{
+    const ModuleSpec spec = *findModuleSpec("A0");
+    const OracleConfig cfg;
+    const DramModule module(spec, cfg.moduleSeed);
+    const int reach = spec.traits().neighborsRefreshed >= 4 ? 2 : 1;
+    const auto victims = [&](Row phys) {
+        std::set<Row> out;
+        for (int d = 1; d <= reach; ++d) {
+            out.insert(phys - d);
+            out.insert(phys + d);
+        }
+        return out;
+    };
+
+    // Y, and a victim W of Y that neither Y-1 nor its victims cover,
+    // whose weakest cell holds charge for 200 ms to 2 s.
+    Row y = kInvalidRow;
+    Row w = kInvalidRow;
+    WeakCell weakest;
+    for (Row cand = 2'000; cand < 3'000 && w == kInvalidRow; ++cand) {
+        const Row py = module.toPhysical(0, cand);
+        const Row py1 = module.toPhysical(0, cand - 1);
+        const std::set<Row> spared = victims(py1);
+        for (Row pw : victims(py)) {
+            const Row lw = module.toLogical(0, pw);
+            if (pw == py1 || spared.count(pw) || lw == kInvalidRow)
+                continue;
+            const RowPhysics phys = module.physics().generateRetention(0, pw);
+            if (phys.weakCells.empty() || phys.weakCells.front().vrt)
+                continue;
+            const Time ret = phys.weakCells.front().retention;
+            if (ret < msToNs(200) || ret > msToNs(2'000))
+                continue;
+            y = cand;
+            w = lw;
+            weakest = phys.weakCells.front();
+            break;
+        }
+    }
+    ASSERT_NE(w, kInvalidRow) << "no retention-weak victim found";
+
+    const Time hold = weakest.retention * 6 / 10;
+    Program program;
+    program.writeRow(0, w,
+                     weakest.chargedValue ? DataPattern::allOnes()
+                                          : DataPattern::allZeros());
+    // Table order W, Y-1, Y; counts 1, 1, 2. A WAIT keeps the two
+    // single-cycle hammers of Y from fusing into one burst.
+    program.hammer(0, y - 1, 1).hammer(0, y, 1).wait(10).hammer(0, y, 1);
+    program.readRow(0, y - 1).readRow(0, y); // the fused read pass
+    program.wait(hold).ref(9).wait(hold);    // the 9th REF is TREF_a
+    program.readRow(0, w);
+    ASSERT_EQ(ProgramCompiler::compile(program).ops[5].count, 2);
+
+    const OracleReport report = runOracleSuite(spec, program, cfg);
+
+#ifdef UTRR_MUTATION_READ_PASS_TRR
+    bool execution_caught = false;
+    for (const OracleViolation &v : report.violations)
+        execution_caught = execution_caught || v.oracle == "execution";
+    EXPECT_TRUE(execution_caught)
+        << "execution oracle missed the planted read-pass bug: "
         << report.summary();
 #else
     EXPECT_TRUE(report.clean()) << report.summary();

@@ -106,6 +106,69 @@ TEST(HostWatchdog, HammerTiersAgreeAtTheLastActPollPoint)
     }
 }
 
+TEST(HostWatchdog, RowPassTiersAgreeAtTheLastActPollPoint)
+{
+    // A row pass polls the watchdog after each row's ACT. A budget
+    // ending exactly at the last ACT's poll point (start +
+    // (rows-1)*rowCycle + tRAS) fires in neither tier; one ns less
+    // fires in both, at that poll point and after every ACT — through
+    // writeRows(), readRows() and programs of write/read sweeps alike.
+    constexpr int kRows = 64;
+    Program writes;
+    Program reads;
+    for (Row r = 0; r < kRows; ++r) {
+        writes.writeRow(0, 100 + r, DataPattern::allOnes());
+        reads.readRow(0, 100 + r);
+    }
+    for (const ExecMode mode :
+         {ExecMode::kCompiled, ExecMode::kInterpreted}) {
+        for (const Time slack : {Time{0}, Time{-1}}) {
+            for (const std::string entry :
+                 {"writeRows", "readRows", "execute writes",
+                  "execute reads"}) {
+                SCOPED_TRACE(::testing::Message()
+                             << entry << " slack " << slack << " "
+                             << (mode == ExecMode::kCompiled
+                                     ? "compiled"
+                                     : "interpreted"));
+                DramModule module(smallSpec(), 1);
+                SoftMcHost host(module);
+                host.setExecMode(mode);
+                const Timing &t = host.timing();
+                const Time cycle = t.tRAS + t.tBURST + t.tRP;
+                const Time last_poll = (kRows - 1) * cycle + t.tRAS;
+                host.setWatchdogBudget(last_poll + slack);
+                const auto run = [&] {
+                    if (entry == "writeRows")
+                        host.writeRows(0, 100, kRows,
+                                       DataPattern::allOnes());
+                    else if (entry == "readRows")
+                        host.readRows(0, 100, kRows);
+                    else
+                        host.execute(entry == "execute writes" ? writes
+                                                               : reads);
+                };
+                if (slack == 0) {
+                    EXPECT_NO_THROW(run());
+                    EXPECT_EQ(host.now(), kRows * cycle);
+                } else {
+                    try {
+                        run();
+                        ADD_FAILURE() << "watchdog did not fire";
+                    } catch (const WatchdogTimeout &timeout) {
+                        EXPECT_EQ(timeout.nowNs, last_poll);
+                        EXPECT_EQ(timeout.actsIssued,
+                                  static_cast<std::uint64_t>(kRows));
+                    }
+                    EXPECT_EQ(host.now(), last_poll);
+                }
+                EXPECT_EQ(host.actCount(),
+                          static_cast<std::uint64_t>(kRows));
+            }
+        }
+    }
+}
+
 TEST_F(HostFixture, WriteReadRoundTrip)
 {
     host.writeRow(0, 42, DataPattern::colStripe());
@@ -281,20 +344,61 @@ TEST(ProgramCompiler, RowAccessesFuseAndPatternsIntern)
     program.writeRow(0, 5, DataPattern::allOnes());
     program.writeRow(0, 6, DataPattern::allOnes());
     program.writeRow(1, 7, DataPattern::checkerboard());
+    program.writeRow(0, 9, DataPattern::allOnes());
     program.readRow(0, 5);
     const CompiledProgram compiled = ProgramCompiler::compile(program);
     ASSERT_EQ(compiled.ops.size(), 4u);
     EXPECT_EQ(compiled.ops[0].kind, CompiledOpKind::kWriteRow);
+    EXPECT_EQ(compiled.ops[0].count, 2); // rows 5 and 6: one pass
     EXPECT_EQ(compiled.ops[1].kind, CompiledOpKind::kWriteRow);
     EXPECT_EQ(compiled.ops[2].kind, CompiledOpKind::kWriteRow);
     EXPECT_EQ(compiled.ops[3].kind, CompiledOpKind::kReadRow);
     EXPECT_EQ(compiled.ops[3].bank, 0);
     EXPECT_EQ(compiled.ops[3].row, 5);
-    // The two allOnes writes share one interned pattern slot.
+    EXPECT_EQ(compiled.ops[3].count, 1);
+    // The allOnes writes share one interned pattern slot.
     ASSERT_EQ(compiled.patterns.size(), 2u);
-    EXPECT_EQ(compiled.ops[0].patternIdx, compiled.ops[1].patternIdx);
-    EXPECT_NE(compiled.ops[0].patternIdx, compiled.ops[2].patternIdx);
+    EXPECT_EQ(compiled.ops[0].patternIdx, compiled.ops[2].patternIdx);
+    EXPECT_NE(compiled.ops[0].patternIdx, compiled.ops[1].patternIdx);
     EXPECT_EQ(compiled.readCount, 1u);
+}
+
+TEST(ProgramCompiler, RowPassRunsBreakAtRowBankAndPatternBoundaries)
+{
+    Program program;
+    for (Row r = 5; r < 9; ++r)
+        program.writeRow(0, r, DataPattern::allOnes());
+    program.writeRow(0, 9, DataPattern::allZeros());  // new pattern
+    program.writeRow(1, 10, DataPattern::allZeros()); // new bank
+    program.readRow(0, 5).readRow(0, 6).readRow(0, 8); // row gap
+    program.readRow(0, 8);                               // repeat
+    const CompiledProgram compiled = ProgramCompiler::compile(program);
+    ASSERT_EQ(compiled.ops.size(), 6u);
+    const struct
+    {
+        CompiledOpKind kind;
+        Bank bank;
+        Row row;
+        int count;
+    } want[] = {
+        {CompiledOpKind::kWriteRow, 0, 5, 4},
+        {CompiledOpKind::kWriteRow, 0, 9, 1},
+        {CompiledOpKind::kWriteRow, 1, 10, 1},
+        {CompiledOpKind::kReadRow, 0, 5, 2},
+        {CompiledOpKind::kReadRow, 0, 8, 1},
+        {CompiledOpKind::kReadRow, 0, 8, 1},
+    };
+    for (std::size_t i = 0; i < compiled.ops.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(compiled.ops[i].kind, want[i].kind);
+        EXPECT_EQ(compiled.ops[i].bank, want[i].bank);
+        EXPECT_EQ(compiled.ops[i].row, want[i].row);
+        EXPECT_EQ(compiled.ops[i].count, want[i].count);
+    }
+    EXPECT_EQ(compiled.readCount, 4u);
+    // Unfused, every command passes through one-to-one.
+    EXPECT_EQ(ProgramCompiler::compile(program, false).ops.size(),
+              program.instructions().size());
 }
 
 TEST(ProgramCompiler, RefRunsCollapseToOneBurst)

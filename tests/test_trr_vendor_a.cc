@@ -179,22 +179,6 @@ TEST(VendorATrr, ResetClearsState)
     EXPECT_FALSE(trr.onRefresh().empty());
 }
 
-/** Every bank's table, in slot order (eviction picks by slot). */
-FoldView
-tableView(int banks)
-{
-    return [banks](const TrrMechanism &trr) {
-        const auto &a = dynamic_cast<const VendorATrr &>(trr);
-        std::ostringstream out;
-        for (Bank b = 0; b < banks; ++b) {
-            for (const auto &[row, count] : a.tableOf(b))
-                out << b << ":" << row << "=" << count << " ";
-            out << "| ";
-        }
-        return out.str();
-    };
-}
-
 TEST(VendorATrr, RoundRobinAndBurstFoldsMatchPerActReplay)
 {
     // Forty rows over four banks overflow the 16-entry tables, so the

@@ -144,22 +144,6 @@ TEST(VendorBTrr, ResetClearsSampleAndPhase)
     }
 }
 
-/** The chip-wide sample and every per-bank sample. */
-FoldView
-sampleView(int banks)
-{
-    return [banks](const TrrMechanism &trr) {
-        const auto &b = dynamic_cast<const VendorBTrr &>(trr);
-        std::ostringstream out;
-        if (const auto s = b.currentSample())
-            out << s->bank << ":" << s->aggressorPhysRow;
-        out << " |";
-        for (Bank bank = 0; bank < banks; ++bank)
-            out << " " << b.currentSampleOf(bank).value_or(-1);
-        return out.str();
-    };
-}
-
 TEST(VendorBTrr, RoundRobinAndBurstFoldsMatchPerActReplay)
 {
     // The fold keeps one draw per ACT in ACT order, so the RNG stream

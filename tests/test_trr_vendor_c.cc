@@ -164,21 +164,6 @@ TEST(VendorCTrr, ShortWindowVersion)
     }
 }
 
-/** Every bank's candidate and in-window ACT count. */
-FoldView
-windowView(int banks)
-{
-    return [banks](const TrrMechanism &trr) {
-        const auto &c = dynamic_cast<const VendorCTrr &>(trr);
-        std::ostringstream out;
-        for (Bank b = 0; b < banks; ++b) {
-            out << b << ":" << c.candidateOf(b).value_or(-1) << "@"
-                << c.windowActsOf(b) << " ";
-        }
-        return out.str();
-    };
-}
-
 TEST(VendorCTrr, RoundRobinAndBurstFoldsMatchPerActReplay)
 {
     const FoldCheckShape shape;

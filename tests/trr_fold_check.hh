@@ -10,7 +10,8 @@
  * clone() of it, attached to a ground-truth store of its own, receives
  * the same ACTs one onActivate() at a time, and compares the REF
  * outputs, a vendor-specific white-box view and the ground-truth
- * counters and gauges after every step.
+ * counters and gauges after every step. The vendors' white-box views
+ * live here too, for checks that compare whole devices.
  */
 
 #ifndef UTRR_TESTS_TRR_FOLD_CHECK_HH
@@ -27,6 +28,9 @@
 #include "common/rng.hh"
 #include "obs/metrics.hh"
 #include "trr/trr.hh"
+#include "trr/vendor_a.hh"
+#include "trr/vendor_b.hh"
+#include "trr/vendor_c.hh"
 
 namespace utrr
 {
@@ -54,6 +58,66 @@ refreshText(const std::vector<TrrRefreshAction> &actions)
     for (const TrrRefreshAction &a : actions)
         out << a.bank << ":" << a.aggressorPhysRow << " ";
     return out.str();
+}
+
+/** Every bank's table, in slot order (eviction picks by slot). */
+inline FoldView
+tableView(int banks)
+{
+    return [banks](const TrrMechanism &trr) {
+        const auto &a = dynamic_cast<const VendorATrr &>(trr);
+        std::ostringstream out;
+        for (Bank b = 0; b < banks; ++b) {
+            for (const auto &[row, count] : a.tableOf(b))
+                out << b << ":" << row << "=" << count << " ";
+            out << "| ";
+        }
+        return out.str();
+    };
+}
+
+/** The chip-wide sample and every per-bank sample. */
+inline FoldView
+sampleView(int banks)
+{
+    return [banks](const TrrMechanism &trr) {
+        const auto &b = dynamic_cast<const VendorBTrr &>(trr);
+        std::ostringstream out;
+        if (const auto s = b.currentSample())
+            out << s->bank << ":" << s->aggressorPhysRow;
+        out << " |";
+        for (Bank bank = 0; bank < banks; ++bank)
+            out << " " << b.currentSampleOf(bank).value_or(-1);
+        return out.str();
+    };
+}
+
+/** Every bank's candidate and in-window ACT count. */
+inline FoldView
+windowView(int banks)
+{
+    return [banks](const TrrMechanism &trr) {
+        const auto &c = dynamic_cast<const VendorCTrr &>(trr);
+        std::ostringstream out;
+        for (Bank b = 0; b < banks; ++b) {
+            out << b << ":" << c.candidateOf(b).value_or(-1) << "@"
+                << c.windowActsOf(b) << " ";
+        }
+        return out.str();
+    };
+}
+
+/** The view of whichever vendor @p trr is ("" for NoTrr). */
+inline std::string
+trrStateView(const TrrMechanism &trr, int banks)
+{
+    if (dynamic_cast<const VendorATrr *>(&trr) != nullptr)
+        return tableView(banks)(trr);
+    if (dynamic_cast<const VendorBTrr *>(&trr) != nullptr)
+        return sampleView(banks)(trr);
+    if (dynamic_cast<const VendorCTrr *>(&trr) != nullptr)
+        return windowView(banks)(trr);
+    return "";
 }
 
 /**
