@@ -155,8 +155,7 @@ ProgramFuzzer::generate(std::uint64_t seed, std::uint64_t index) const
     for (int i = 0; i < ops; ++i) {
         if (cfg.sweepChance > 0.0 && rng.chance(cfg.sweepChance)) {
             const Bank bank = close_one();
-            const int rows =
-                static_cast<int>(rng.uniformInt(2, cfg.sweepRowsMax));
+            const int rows = static_cast<int>(rng.uniformInt(2, 8));
             const Row first = static_cast<Row>(
                 row_lo + rng.uniformInt(0, cfg.rowSpan - rows));
             if (rng.chance(0.5)) {

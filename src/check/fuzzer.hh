@@ -76,13 +76,12 @@ struct FuzzConfig
 
     /**
      * Chance that a body op is a row sweep: a write of one pattern, or
-     * a read, over 2..sweepRowsMax consecutive rows of one precharged
-     * bank — what the compiled tier runs as one fused row pass. The
-     * default 0 draws nothing, so it keeps the program streams of
-     * every seed that predates sweeps.
+     * a read, over 2 to 8 consecutive rows of one precharged bank —
+     * what the compiled tier runs as one fused row pass. The default 0
+     * draws nothing, so it keeps the program streams of every seed
+     * that predates sweeps.
      */
     double sweepChance = 0.0;
-    int sweepRowsMax = 8;
 };
 
 /**

@@ -20,7 +20,9 @@ constexpr Time kNeverFailed = -1;
 
 RowScout::RowScout(SoftMcHost &host, DiscoveredMapping mapping,
                    RowScoutConfig config)
-    : host(host), mapping(std::move(mapping)), cfg(std::move(config))
+    : host(host), mapping(std::move(mapping)), cfg(std::move(config)),
+      physRowBound(host.module().spec().physRowsPerBank() +
+                   cfg.layout.span())
 {
     UTRR_ASSERT(cfg.rowStart >= 0 && cfg.rowEnd > cfg.rowStart,
                 "bad row range");
@@ -100,30 +102,6 @@ RowScout::validateRetention(Row logical_row, Time t, int checks)
 }
 
 void
-RowScout::PhysRowSet::add(Row row)
-{
-    if (bits.empty())
-        lo = row;
-    if (row < lo) {
-        bits.insert(bits.begin(), static_cast<std::size_t>(lo - row), 0);
-        lo = row;
-    } else if (row - lo >= static_cast<Row>(bits.size())) {
-        bits.resize(static_cast<std::size_t>(row - lo) + 1, 0);
-    }
-    bits[static_cast<std::size_t>(row - lo)] = 1;
-}
-
-bool
-RowScout::PhysRowSet::overlaps(Row from, Row to) const
-{
-    for (Row row = from; row < to; ++row) {
-        if (has(row))
-            return true;
-    }
-    return false;
-}
-
-void
 RowScout::reserve(PhysRowSet &reserved, const RowGroup &group) const
 {
     for (int d = 0; d < cfg.layout.span(); ++d)
@@ -134,9 +112,12 @@ bool
 RowScout::overlapsReserved(const PhysRowSet &reserved,
                            const RowGroup &group) const
 {
-    return reserved.overlaps(
-        group.basePhysRow - cfg.groupSeparation,
-        group.basePhysRow + cfg.layout.span() + cfg.groupSeparation);
+    for (int d = -cfg.groupSeparation;
+         d < cfg.layout.span() + cfg.groupSeparation; ++d) {
+        if (reserved.has(group.basePhysRow + d))
+            return true;
+    }
+    return false;
 }
 
 bool
@@ -158,7 +139,7 @@ RowScout::forEachCandidateGroup(
 {
     // Eligible rows: failed first in (t/2, t], so they hold for t/2 and
     // fail by t — exactly the side-channel requirement.
-    PhysRowSet eligible;
+    PhysRowSet eligible(physRowBound);
     for (std::size_t i = 0; i < first_fail.size(); ++i) {
         if (first_fail[i] <= t / 2 || first_fail[i] > t)
             continue;
@@ -174,7 +155,7 @@ RowScout::forEachCandidateGroup(
     // Candidates in ascending physical order of their base row, built
     // only as far as the caller consumes them.
     const auto &offsets = cfg.layout.profiledOffsets();
-    for (Row base = eligible.begin(); base < eligible.end(); ++base) {
+    for (Row base = 0; base < eligible.size(); ++base) {
         if (!eligible.has(base))
             continue;
         bool ok = true;
@@ -242,7 +223,7 @@ RowScout::scout()
         }
 
         std::vector<RowGroup> groups;
-        PhysRowSet reserved;
+        PhysRowSet reserved(physRowBound);
         forEachCandidateGroup(first_fail, t, [&](RowGroup &group) {
             if (overlapsReserved(reserved, group) || !isConsistent(group, t))
                 return false;
@@ -281,7 +262,7 @@ RowScout::scoutReplacements(const std::vector<RowGroup> &existing, Time t,
             first_fail[i] = t;
     }
 
-    PhysRowSet reserved;
+    PhysRowSet reserved(physRowBound);
     for (const RowGroup &group : existing)
         reserve(reserved, group);
 

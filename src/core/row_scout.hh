@@ -146,24 +146,24 @@ class RowScout
     ExperimentReport makeReport(const std::vector<RowGroup> &groups) const;
 
   private:
-    /** Membership bitmap over physical rows; grows to cover what is
-     *  added, and rows outside it read as absent. */
+    /** Membership bitmap over the physical rows a group can touch;
+     *  rows outside it read as absent. */
     class PhysRowSet
     {
       public:
-        void add(Row row);
+        explicit PhysRowSet(Row rows)
+            : bits(static_cast<std::size_t>(rows), 0)
+        {
+        }
+        void add(Row row) { bits.at(static_cast<std::size_t>(row)) = 1; }
         bool has(Row row) const
         {
-            return row >= lo && row - lo < static_cast<Row>(bits.size()) &&
-                bits[static_cast<std::size_t>(row - lo)] != 0;
+            return row >= 0 && row < size() &&
+                bits[static_cast<std::size_t>(row)] != 0;
         }
-        /** True when any row of [from, to) is in the set. */
-        bool overlaps(Row from, Row to) const;
-        Row begin() const { return lo; }
-        Row end() const { return lo + static_cast<Row>(bits.size()); }
+        Row size() const { return static_cast<Row>(bits.size()); }
 
       private:
-        Row lo = 0;
         std::vector<std::uint8_t> bits;
     };
 
@@ -193,6 +193,9 @@ class RowScout
     SoftMcHost &host;
     DiscoveredMapping mapping;
     RowScoutConfig cfg;
+    /** Size of every PhysRowSet: the bank's physical rows plus one
+     *  group span past the last. */
+    Row physRowBound;
     std::uint64_t validations = 0;
     std::uint64_t evictions = 0;
     std::uint64_t replacements = 0;

@@ -413,7 +413,7 @@ RowState::forEachDueFlip(Time now, Commit commit)
 
 template <typename Commit>
 void
-RowState::restoreWith(Time now, Commit commit)
+RowState::restoreWith(Time now, bool walk, Commit commit)
 {
     UTRR_ASSERT(hammerAttached || charge < phys.hammerBaseThreshold,
                 "hammer cells must be attached before a restore that "
@@ -424,7 +424,8 @@ RowState::restoreWith(Time now, Commit commit)
     } else {
         if (perf != nullptr)
             ++perf->restoreSlowPath;
-        forEachDueFlip(now, commit);
+        if (walk)
+            forEachDueFlip(now, commit);
     }
     lastRestore = now;
     charge = 0.0;
@@ -442,19 +443,21 @@ RowState::canSkipCommit(Time now) const
 void
 RowState::restoreCharge(Time now)
 {
-    restoreWith(now, [this](Col col) { commitFlip(col); });
+    restoreWith(now, true, [this](Col col) { commitFlip(col); });
 }
 
 void
 RowState::restoreBeforeOverwrite(Time now)
 {
     // The flips a commit would add die in the next writePattern(); what
-    // outlives them is each VRT draw, the slow-path tally and the one
+    // outlives them is the slow-path tally, each VRT draw and the one
     // copy-on-write clone the first commit makes of a flip list a live
-    // readout or snapshot still shares.
+    // readout or snapshot still shares. Only the last two need the
+    // walk over the due cells.
+    const bool shared = flips && flips.use_count() > 1;
     bool commits = false;
-    restoreWith(now, [&commits](Col) { commits = true; });
-    if (commits && flips && flips.use_count() > 1 && perf != nullptr)
+    restoreWith(now, vrtRow || shared, [&commits](Col) { commits = true; });
+    if (commits && shared && perf != nullptr)
         ++perf->readoutCowCopies;
 }
 

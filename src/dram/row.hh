@@ -301,9 +301,10 @@ class RowState
      *  still holds its charge. */
     template <typename Commit>
     void forEachDueFlip(Time now, Commit commit);
-    /** A restore at @p now whose due flips go to @p commit. */
+    /** A restore at @p now; on the slow path, when @p walk is set,
+     *  its due flips go to @p commit. */
     template <typename Commit>
-    void restoreWith(Time now, Commit commit);
+    void restoreWith(Time now, bool walk, Commit commit);
     void commitFlip(Col col);
     bool canSkipCommit(Time now) const;
     void refreshMinRetention();

@@ -618,7 +618,8 @@ SoftMcHost::executeCompiled(const CompiledProgram &compiled)
                           op.patternIdx)]);
             break;
           case CompiledOpKind::kReadRow: {
-            // Row i's RD lands tRAS after its ACT, one row cycle apart.
+            // Row i's RD lands tRAS after its ACT, one row cycle apart;
+            // the mapping is a bijection, so its record names row + i.
             const Time first_rd = clock + timingParams.tRAS;
             std::vector<RowReadout> readouts =
                 readRows(op.bank, op.row, op.count);

@@ -351,7 +351,7 @@ class SoftMcHost
             throw StopRequested(clock);
         }
     }
-    /** True when @p cycles commands cycles, each @p cycle_ns long and
+    /** True when @p cycles command cycles, each @p cycle_ns long and
      *  polling the watchdog after its ACT, can run fused: compiled
      *  mode, no per-command collaborators, and the watchdog provably
      *  cannot fire before the last one completes. */
