@@ -40,13 +40,11 @@ retentionScan(SoftMcHost &host, Bank bank, Row first, Row end,
     const int count = end - first;
     host.writeRows(bank, first, count, pattern);
     host.wait(t);
-    const std::vector<RowReadout> readouts =
-        host.readRows(bank, first, count);
-    std::vector<int> flips(readouts.size());
-    for (std::size_t i = 0; i < readouts.size(); ++i) {
-        flips[i] = readouts[i].countFlipsVs(pattern,
-                                            first + static_cast<Row>(i));
-    }
+    std::vector<int> flips(static_cast<std::size_t>(count));
+    host.readRows(bank, first, count, [&](int i, RowReadout &&readout) {
+        flips[static_cast<std::size_t>(i)] =
+            readout.countFlipsVs(pattern, first + i);
+    });
     return flips;
 }
 

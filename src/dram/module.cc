@@ -216,66 +216,102 @@ DramModule::actPlanned(const ActPlan &plan, Time now)
     }
 }
 
+namespace
+{
+
+/**
+ * A row pass's TRR observation: its ACTs, in order, handed to
+ * onActivateRoundRobin() in chunks of up to kChunk rows. Splitting the
+ * sequence keeps its order, so the chunks observe what one call would.
+ */
+class PassObserver
+{
+  public:
+    PassObserver(TrrMechanism &trr, Bank bank) : trr(trr)
+    {
+        std::fill_n(banks, kChunk, bank);
+    }
+
+    void
+    act(Row phys)
+    {
+        rows[pending++] = phys;
+        if (pending == kChunk)
+            flush();
+    }
+
+    /** Observe the ACTs still pending (call once the pass is done). */
+    void
+    flush()
+    {
+        if (pending > 0)
+            trr.onActivateRoundRobin(banks, rows, pending, 1);
+        pending = 0;
+    }
+
+  private:
+    static constexpr int kChunk = 256;
+    TrrMechanism &trr;
+    Bank banks[kChunk];
+    Row rows[kChunk];
+    int pending = 0;
+};
+
+} // namespace
+
 void
 DramModule::writePass(Bank bank, Row first, int count,
                       const DataPattern &pattern, Time start, Time stride,
                       Time wr_delay)
 {
-    if (count <= 0)
-        return;
     DramBank &b = bankAt(bank);
     const RowMapping &map = mappings[static_cast<std::size_t>(bank)];
-    if (passRows.size() < static_cast<std::size_t>(count))
-        passRows.resize(static_cast<std::size_t>(count));
+    PassObserver observer(*trr, bank);
     Time t = start;
     for (int i = 0; i < count; ++i, t += stride) {
         const Row phys = map.toPhysical(first + i);
-        passRows[static_cast<std::size_t>(i)] = phys;
         b.writeCycle(phys, pattern, first + i, t, t + wr_delay);
+        observer.act(phys);
     }
-    observePass(bank, count);
+    observer.flush();
+    countPassActs(bank, count);
     ++planEpochV; // stored words changed: cached plan weights are stale
 }
 
 void
 DramModule::readPass(Bank bank, Row first, int count, Time start,
-                     Time stride, RowReadout *out)
+                     Time stride, const ReadoutSink &sink)
 {
-    if (count <= 0)
-        return;
     DramBank &b = bankAt(bank);
     const RowMapping &map = mappings[static_cast<std::size_t>(bank)];
-    if (passRows.size() < static_cast<std::size_t>(count))
-        passRows.resize(static_cast<std::size_t>(count));
     std::uint64_t flip_bits = 0;
+    PassObserver observer(*trr, bank);
     Time t = start;
     for (int i = 0; i < count; ++i, t += stride) {
         const Row phys = map.toPhysical(first + i);
-        passRows[static_cast<std::size_t>(i)] = phys;
         b.activate(phys, t);
-        out[i] = b.readOpenRow();
-        flip_bits += out[i].rawFlips().size();
+        RowReadout readout = b.readOpenRow();
         b.precharge(t);
-    }
+        flip_bits += readout.rawFlips().size();
+        sink(i, std::move(readout));
 #ifdef UTRR_MUTATION_READ_PASS_TRR
-    // Planted bug for CI mutation-sanity: TRR never sees the pass's
-    // last ACT. The execution oracle must catch this.
-    if (count > 1)
-        --count;
+        // Planted bug for CI mutation-sanity: TRR never sees the pass's
+        // last ACT. The execution oracle must catch this.
+        if (i > 0 && i == count - 1)
+            break;
 #endif
-    observePass(bank, count);
+        observer.act(phys);
+    }
+    observer.flush();
+    countPassActs(bank, count);
     if (ctrReadFlipBits != nullptr)
         ctrReadFlipBits->inc(flip_bits);
 }
 
 void
-DramModule::observePass(Bank bank, int count)
+DramModule::countPassActs(Bank bank, int count)
 {
-    if (passBanks.size() < static_cast<std::size_t>(count))
-        passBanks.resize(static_cast<std::size_t>(count));
-    std::fill_n(passBanks.begin(), count, bank);
-    trr->onActivateRoundRobin(passBanks.data(), passRows.data(), count, 1);
-    if (ctrActs != nullptr) {
+    if (ctrActs != nullptr && count > 0) {
         ctrActs->inc(static_cast<std::uint64_t>(count));
         ctrBankActs[static_cast<std::size_t>(bank)]->inc(
             static_cast<std::uint64_t>(count));

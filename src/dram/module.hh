@@ -17,6 +17,7 @@
 #ifndef UTRR_DRAM_MODULE_HH
 #define UTRR_DRAM_MODULE_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -128,9 +129,13 @@ class DramModule
                    const DataPattern &pattern, Time start, Time stride,
                    Time wr_delay);
 
-    /** Read pass: row i's readout goes to @p out[i]. */
+    /** Receives each row of a read pass: its index i in the pass and
+     *  its readout, as its RD lands. */
+    using ReadoutSink = std::function<void(int, RowReadout &&)>;
+
+    /** Read pass: row i's readout goes to @p sink(i, readout). */
     void readPass(Bank bank, Row first, int count, Time start, Time stride,
-                  RowReadout *out);
+                  const ReadoutSink &sink);
 
     /**
      * Monotonic counter that advances whenever a cached ActPlan could
@@ -281,9 +286,8 @@ class DramModule
     bool foldRounds(const ActPlan *plans, int n, int rounds, Time start,
                     Time stride);
     std::vector<Row> victimRowsOf(Row aggressor_phys) const;
-    /** TRR observation and ACT counters of a row pass over the physical
-     *  rows passRows[0, count) of @p bank. */
-    void observePass(Bank bank, int count);
+    /** A row pass's ACT counters: @p count ACTs to @p bank. */
+    void countPassActs(Bank bank, int count);
     Counter &gtVictimCounter(Bank bank, Row phys_row);
 
     ModuleSpec moduleSpec;
@@ -299,9 +303,6 @@ class DramModule
     std::uint64_t masterSeed = 0;
     /** See planEpoch(). */
     std::uint64_t planEpochV = 1;
-    /** Row passes' TRR arguments, grown on demand and kept. */
-    std::vector<Bank> passBanks;
-    std::vector<Row> passRows;
 
     GroundTruthStore gtStore;
     Counter *gtTrrEvents = nullptr;

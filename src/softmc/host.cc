@@ -386,22 +386,20 @@ SoftMcHost::writeRows(Bank bank, Row first, int count,
     pollStopFlag();
 }
 
-std::vector<RowReadout>
-SoftMcHost::readRows(Bank bank, Row first, int count)
+void
+SoftMcHost::readRows(Bank bank, Row first, int count,
+                     const DramModule::ReadoutSink &sink)
 {
-    std::vector<RowReadout> readouts(
-        static_cast<std::size_t>(std::max(count, 0)));
     if (!canBatch(count, rowCycle())) {
         for (int i = 0; i < count; ++i)
-            readouts[static_cast<std::size_t>(i)] = readRow(bank, first + i);
-        return readouts;
+            sink(i, readRow(bank, first + i));
+        return;
     }
-    dram.readPass(bank, first, count, clock, rowCycle(), readouts.data());
+    dram.readPass(bank, first, count, clock, rowCycle(), sink);
     recordRowPass(bank, first, count, TraceKind::kRd, clock);
     clock += static_cast<Time>(count) * rowCycle();
     acts += static_cast<std::uint64_t>(count);
     pollStopFlag();
-    return readouts;
 }
 
 void
@@ -621,14 +619,13 @@ SoftMcHost::executeCompiled(const CompiledProgram &compiled)
             // Row i's RD lands tRAS after its ACT, one row cycle apart;
             // the mapping is a bijection, so its record names row + i.
             const Time first_rd = clock + timingParams.tRAS;
-            std::vector<RowReadout> readouts =
-                readRows(op.bank, op.row, op.count);
-            for (int i = 0; i < op.count; ++i) {
-                result.reads.push_back(
-                    {op.bank, op.row + i,
-                     first_rd + static_cast<Time>(i) * rowCycle(),
-                     std::move(readouts[static_cast<std::size_t>(i)])});
-            }
+            readRows(op.bank, op.row, op.count,
+                     [&](int i, RowReadout &&readout) {
+                         result.reads.push_back(
+                             {op.bank, op.row + i,
+                              first_rd + static_cast<Time>(i) * rowCycle(),
+                              std::move(readout)});
+                     });
             break;
           }
           case CompiledOpKind::kRefBurst:

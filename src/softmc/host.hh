@@ -164,8 +164,13 @@ class SoftMcHost
     void writeRows(Bank bank, Row first, int count,
                    const DataPattern &pattern);
 
-    /** readRow() over [first, first + count); one readout per row. */
-    std::vector<RowReadout> readRows(Bank bank, Row first, int count);
+    /**
+     * readRow() over [first, first + count), handing row first + i's
+     * readout to @p sink(i, readout) as its RD lands; one
+     * DramModule::readPass() when canBatch() holds, else row by row.
+     */
+    void readRows(Bank bank, Row first, int count,
+                  const DramModule::ReadoutSink &sink);
 
     /** `count` ACT+PRE cycles on one row. */
     void hammer(Bank bank, Row row, int count);

@@ -57,8 +57,9 @@ struct Device
     void
     read(Bank bank, Row first, int count)
     {
-        for (const RowReadout &readout : host.readRows(bank, first, count))
+        host.readRows(bank, first, count, [&](int, RowReadout &&readout) {
             reads.push_back(readout.rawFlips());
+        });
     }
 };
 
@@ -175,12 +176,15 @@ TEST(RowPass, FusedPassesMatchPerRowLoopOnEveryTrrVersion)
             d->read(0, 0, 3);
             d->read(1, 0, rows);
             h.refBurst(17);
-            h.readRows(1, 30, 16); // TRR-visible reads before the REFs
+            d->read(1, 30, 16); // TRR-visible reads before the REFs
             h.refBurst(9);
             // Rewrite decayed rows whose flip lists live readouts and a
             // snapshot still share: the write pass must tally the
             // copy-on-write clones the per-row restores make.
-            const std::vector<RowReadout> held = h.readRows(1, 0, 256);
+            std::vector<RowReadout> held;
+            h.readRows(1, 0, 256, [&](int, RowReadout &&readout) {
+                held.push_back(std::move(readout));
+            });
             const DramModule::Snapshot snap = d->module.snapshot();
             h.wait(msToNs(1'500));
             h.writeRows(1, 0, 256, DataPattern::allZeros());

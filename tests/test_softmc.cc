@@ -143,7 +143,8 @@ TEST(HostWatchdog, RowPassTiersAgreeAtTheLastActPollPoint)
                         host.writeRows(0, 100, kRows,
                                        DataPattern::allOnes());
                     else if (entry == "readRows")
-                        host.readRows(0, 100, kRows);
+                        host.readRows(0, 100, kRows,
+                                      [](int, RowReadout &&) {});
                     else
                         host.execute(entry == "execute writes" ? writes
                                                                : reads);
