@@ -118,9 +118,9 @@ class DramModule
     // [first, first + count) of one precharged bank, row i's ACT at
     // start + i * stride. Bit-identical to the matching act()/wr()/rd()/
     // pre() loop: the per-row bank physics run in command order, and
-    // TRR observes the whole ACT sequence in one onActivateRoundRobin()
-    // call (TRR never reads bank charge, the bank never reads TRR
-    // between REFs). Counters are bumped in bulk.
+    // TRR observes the ACT sequence through onActivateRoundRobin() in
+    // chunks of up to 256 rows (TRR never reads bank charge, the bank
+    // never reads TRR between REFs). Counters are bumped in bulk.
     // ------------------------------------------------------------------
 
     /** Write pass: each row's WR of @p pattern lands @p wr_delay ns
